@@ -79,42 +79,3 @@ object BufferedReproDouble {
     out
   }
 }
-
-/** Summation buffer over `repro<float,L>` — binary32 mirror of
-  * [[BufferedReproDouble]].
-  */
-final class BufferedReproFloat(val levels: Int, val bsz: Int) extends Serializable {
-  require(bsz >= 0, s"buffer size must be >= 0, got $bsz")
-
-  val state = new ReproFloat(levels)
-  private val buf: Array[Float] = if (bsz > 0) new Array[Float](bsz) else null
-  private var n: Int = 0
-  @transient private var scratch: RsumBatchF = _
-
-  private def scratchOrInit(): RsumBatchF = {
-    if (scratch == null) scratch = new RsumBatchF(levels)
-    scratch
-  }
-
-  def add(v: Float): Unit = {
-    if (bsz == 0) state.add(v)
-    else {
-      buf(n) = v
-      n += 1
-      if (n == bsz) flush()
-    }
-  }
-
-  def flush(): Unit = {
-    if (n > 0) { state.addBatch(buf, 0, n, scratchOrInit()); n = 0 }
-  }
-
-  def merge(o: BufferedReproFloat): Unit = {
-    flush(); o.flush()
-    state.merge(o.state)
-  }
-
-  def value: Float = { flush(); state.value }
-
-  def isEmpty: Boolean = n == 0 && state.isEmpty
-}

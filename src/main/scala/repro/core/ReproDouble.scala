@@ -3,143 +3,72 @@ package repro.core
 import java.nio.ByteBuffer
 
 /** The paper's `repro<double,L>` data type (§IV): an *associative* drop-in
-  * replacement for a floating-point accumulator. Wraps one [[RsumD]] state
-  * (L levels of running sum + carry count) and adds SQL-grade handling of
-  * the full double domain:
-  *
-  *   - NaN/±Inf are accumulated in a plain side sum, which is
-  *     order-independent on the non-finite subset (Inf+Inf=Inf, Inf-Inf=NaN,
-  *     NaN sticky);
-  *   - values with |b| >= 2^987 would need an extractor exponent beyond the
-  *     double range (`E(b) + M - W + 2 > 1023`), so they go into a second
-  *     RSUM state over the exactly-scaled domain `b * 2^-600` (power-of-two
-  *     scaling is error-free); the final value is
-  *     `base + scalb(huge, 600)`, overflowing to ±Inf deterministically.
+  * replacement for a floating-point accumulator. It is the one-slot view of
+  * a [[ReproSlotsD]], which holds the L levels of running sum + carry count
+  * and handles the full double domain (huge values, NaN/±Inf).
   *
   * `add`, `merge` and `value` are bit-reproducible: the result depends only
   * on the multiset of values added across the whole merge tree.
   */
-final class ReproDouble private (val levels: Int,
-                                 private[core] val s: Array[Double],
-                                 private[core] val c: Array[Long],
-                                 private[core] var e1: Int,
-                                 private[core] var nonFinite: Double,
-                                 private[core] var hasNonFinite: Boolean,
-                                 private[core] var huge: ReproDouble)
-    extends Serializable {
+final class ReproDouble private (private[core] val slots: ReproSlotsD) extends Serializable {
 
-  def this(levels: Int) =
-    this(levels, new Array[Double](levels), new Array[Long](levels),
-         RsumD.EMPTY, 0.0, false, null)
+  def this(levels: Int) = this(new ReproSlotsD(1, levels))
 
-  require(levels >= 1 && levels <= 16, s"levels must be in [1,16], got $levels")
+  def levels: Int = slots.levels
 
   /** True if nothing contributing to the sum was added. */
-  def isEmpty: Boolean =
-    e1 == RsumD.EMPTY && !hasNonFinite && (huge == null || huge.isEmpty)
+  def isEmpty: Boolean = slots.isEmpty(0)
 
   /** The paper's `operator+=(ScalarT)`. */
-  def add(b: Double): Unit = {
-    val a = Math.abs(b)
-    if (a < ReproDouble.HugeThreshold) e1 = RsumD.add(s, c, 0, levels, e1, b)
-    else if (java.lang.Double.isFinite(b)) hugeState.add(b * ReproDouble.HugeScaleDown)
-    else { hasNonFinite = true; nonFinite += b }
-  }
-
-  private def hugeState: ReproDouble = {
-    if (huge == null) huge = new ReproDouble(levels)
-    huge
-  }
+  def add(b: Double): Unit = slots.add(0, b)
 
   /** Add a whole batch through the vectorized kernel (RSUM SIMD); the
     * resulting state is bit-identical to adding the values one by one.
-    * Non-finite and huge values are routed through the scalar path.
     */
-  def addBatch(values: Array[Double], from: Int, len: Int, scratch: RsumBatchD): Unit = {
-    require(scratch.levels == levels, "scratch lane width mismatch")
-    var inDomain = true
-    var i = from
-    val end = from + len
-    while (i < end) {
-      // !(a < T) catches huge, ±Inf and NaN in one test
-      if (!(Math.abs(values(i)) < ReproDouble.HugeThreshold)) { inDomain = false; i = end }
-      else i += 1
-    }
-    if (inDomain) e1 = scratch.run(values, from, len, s, c, 0, e1)
-    else { // rare path: route per value
-      var j = from
-      while (j < end) { add(values(j)); j += 1 }
-    }
-  }
+  def addBatch(values: Array[Double], from: Int, len: Int, scratch: RsumBatchD): Unit =
+    slots.addBatch(0, values, from, len, scratch)
 
   /** The paper's `operator+=(repro<double,L>)`. `o` is left untouched. */
-  def merge(o: ReproDouble): Unit = {
-    require(o.levels == levels, s"cannot merge repro<double,${o.levels}> into repro<double,$levels>")
-    if (o.hasNonFinite) { hasNonFinite = true; nonFinite += o.nonFinite }
-    if (o.huge != null && !o.huge.isEmpty) hugeState.merge(o.huge)
-    if (o.e1 == RsumD.EMPTY) return
-    // RsumD.merge consumes its B argument (demote/renormalize in place);
-    // keep the public API side-effect free on `o` by merging a copy when
-    // a lossy demote of `o` would be needed.
-    if (e1 != RsumD.EMPTY && e1 > o.e1) {
-      val sb = o.s.clone(); val cb = o.c.clone()
-      e1 = RsumD.merge(s, c, 0, e1, sb, cb, 0, o.e1, levels)
-    } else {
-      // content-preserving normalization of `o` is acceptable; demotion of
-      // `o` cannot happen on this branch
-      e1 = RsumD.merge(s, c, 0, e1, o.s, o.c, 0, o.e1, levels)
-    }
-  }
+  def merge(o: ReproDouble): Unit = slots.merge(0, o.slots, 0)
 
   /** Finalized sum (deterministic function of the canonical state). */
-  def value: Double = {
-    if (hasNonFinite) return nonFinite
-    val base = RsumD.eval(s, c, 0, levels, e1)
-    if (huge == null || huge.isEmpty) base
-    else Math.scalb(huge.value, ReproDouble.HugeScaleLog) + base
-  }
+  def value: Double = slots.value(0)
 
-  def copy(): ReproDouble =
-    new ReproDouble(levels, s.clone(), c.clone(), e1, nonFinite, hasNonFinite,
-                    if (huge == null) null else huge.copy())
+  def copy(): ReproDouble = new ReproDouble(slots.copy())
 
-  def reset(): Unit = {
-    e1 = RsumD.EMPTY
-    nonFinite = 0.0
-    hasNonFinite = false
-    huge = null
-    java.util.Arrays.fill(s, 0.0)
-    java.util.Arrays.fill(c, 0L)
-  }
+  def reset(): Unit = slots.clear(0)
+
+  /** The huge-value sidecar as a state, or null if it holds nothing. */
+  private def hugeState: ReproDouble =
+    if (slots.huge == null || slots.huge.isEmpty(0)) null else new ReproDouble(slots.huge)
 
   /** Bitwise state equality — the reproducibility criterion used in tests.
     * Both states are normalized first (normalization is content-preserving).
     */
   def bitEquals(o: ReproDouble): Boolean = {
+    val a = slots
+    val b = o.slots
     if (levels != o.levels) return false
-    if (e1 != RsumD.EMPTY) RsumD.propagate(s, c, 0, levels, e1)
-    if (o.e1 != RsumD.EMPTY) RsumD.propagate(o.s, o.c, 0, levels, o.e1)
-    val hugeEq = (huge == null || huge.isEmpty) && (o.huge == null || o.huge.isEmpty) ||
-      (huge != null && o.huge != null && huge.bitEquals(o.huge))
-    e1 == o.e1 && hasNonFinite == o.hasNonFinite && hugeEq &&
-    java.lang.Double.doubleToRawLongBits(nonFinite) == java.lang.Double.doubleToRawLongBits(o.nonFinite) &&
-    s.indices.forall(i =>
-      java.lang.Double.doubleToRawLongBits(s(i)) == java.lang.Double.doubleToRawLongBits(o.s(i))) &&
-    java.util.Arrays.equals(c, o.c)
+    if (a.e1(0) != RsumD.EMPTY) RsumD.propagate(a.s, a.c, 0, levels, a.e1(0))
+    if (b.e1(0) != RsumD.EMPTY) RsumD.propagate(b.s, b.c, 0, levels, b.e1(0))
+    val ha = hugeState
+    val hb = o.hugeState
+    val hugeEq = if (ha == null || hb == null) ha eq hb else ha.bitEquals(hb)
+    hugeEq && a.e1(0) == b.e1(0) && java.util.Arrays.equals(a.s, b.s) && java.util.Arrays.equals(a.c, b.c)
   }
 
   /** Binary image (for Spark aggregation-buffer shipping). */
   def serialize(): Array[Byte] = {
-    val hugeImg: Array[Byte] =
-      if (huge == null || huge.isEmpty) Array.emptyByteArray else huge.serialize()
+    val huge = hugeState
+    val hugeImg = if (huge == null) Array.emptyByteArray else huge.serialize()
     val bb = ByteBuffer.allocate(ReproDouble.baseByteSize(levels) + 4 + hugeImg.length)
-    bb.putInt(levels).putInt(e1)
-    bb.put(if (hasNonFinite) 1.toByte else 0.toByte)
-    bb.putDouble(nonFinite)
+    bb.putInt(levels).putInt(slots.e1(0))
+    bb.put(if (slots.hasNonFinite(0)) 1.toByte else 0.toByte)
+    bb.putDouble(slots.nonFinite(0))
     var l = 0
-    while (l < levels) { bb.putDouble(s(l)); l += 1 }
+    while (l < levels) { bb.putDouble(slots.s(l)); l += 1 }
     l = 0
-    while (l < levels) { bb.putLong(c(l)); l += 1 }
+    while (l < levels) { bb.putLong(slots.c(l)); l += 1 }
     bb.putInt(hugeImg.length).put(hugeImg)
     bb.array()
   }
@@ -158,21 +87,16 @@ object ReproDouble {
   def deserialize(bytes: Array[Byte]): ReproDouble = deserialize(ByteBuffer.wrap(bytes))
 
   private def deserialize(bb: ByteBuffer): ReproDouble = {
-    val levels = bb.getInt
-    val st = new ReproDouble(levels)
-    st.e1 = bb.getInt
-    st.hasNonFinite = bb.get() != 0
-    st.nonFinite = bb.getDouble
+    val st = new ReproDouble(bb.getInt)
+    val sl = st.slots
+    sl.e1(0) = bb.getInt
+    bb.get() // non-finite flag: implied by the side sum
+    sl.setNonFinite(0, bb.getDouble)
     var l = 0
-    while (l < levels) { st.s(l) = bb.getDouble; l += 1 }
+    while (l < st.levels) { sl.s(l) = bb.getDouble; l += 1 }
     l = 0
-    while (l < levels) { st.c(l) = bb.getLong; l += 1 }
-    val hugeLen = bb.getInt
-    if (hugeLen > 0) {
-      val img = new Array[Byte](hugeLen)
-      bb.get(img)
-      st.huge = ReproDouble.deserialize(img)
-    }
+    while (l < st.levels) { sl.c(l) = bb.getLong; l += 1 }
+    if (bb.getInt > 0) sl.huge = deserialize(bb).slots // the huge image follows in place
     st
   }
 

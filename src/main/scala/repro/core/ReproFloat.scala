@@ -3,113 +3,56 @@ package repro.core
 import java.nio.ByteBuffer
 
 /** The paper's `repro<float,L>` data type — binary32 mirror of
-  * [[ReproDouble]]; see that class for semantics. Values with |b| >= 2^120
-  * would need an out-of-range extractor (`E(b) + M - W + 2 > 127`) and are
-  * routed to a second state over the exactly-scaled domain `b * 2^-60`.
+  * [[ReproDouble]], the one-slot view of a [[ReproSlotsF]]; see those
+  * classes for semantics.
   */
-final class ReproFloat private (val levels: Int,
-                                private[core] val s: Array[Float],
-                                private[core] val c: Array[Long],
-                                private[core] var e1: Int,
-                                private[core] var nonFinite: Float,
-                                private[core] var hasNonFinite: Boolean,
-                                private[core] var huge: ReproFloat)
-    extends Serializable {
+final class ReproFloat private (private[core] val slots: ReproSlotsF) extends Serializable {
 
-  def this(levels: Int) =
-    this(levels, new Array[Float](levels), new Array[Long](levels),
-         RsumF.EMPTY, 0.0f, false, null)
+  def this(levels: Int) = this(new ReproSlotsF(1, levels))
 
-  require(levels >= 1 && levels <= 16, s"levels must be in [1,16], got $levels")
+  def levels: Int = slots.levels
 
-  def isEmpty: Boolean =
-    e1 == RsumF.EMPTY && !hasNonFinite && (huge == null || huge.isEmpty)
+  def isEmpty: Boolean = slots.isEmpty(0)
 
-  def add(b: Float): Unit = {
-    val a = Math.abs(b)
-    if (a < ReproFloat.HugeThreshold) e1 = RsumF.add(s, c, 0, levels, e1, b)
-    else if (java.lang.Float.isFinite(b)) hugeState.add(b * ReproFloat.HugeScaleDown)
-    else { hasNonFinite = true; nonFinite += b }
-  }
+  def add(b: Float): Unit = slots.add(0, b)
 
-  private def hugeState: ReproFloat = {
-    if (huge == null) huge = new ReproFloat(levels)
-    huge
-  }
+  def addBatch(values: Array[Float], from: Int, len: Int, scratch: RsumBatchF): Unit =
+    slots.addBatch(0, values, from, len, scratch)
 
-  def addBatch(values: Array[Float], from: Int, len: Int, scratch: RsumBatchF): Unit = {
-    require(scratch.levels == levels, "scratch lane width mismatch")
-    var inDomain = true
-    var i = from
-    val end = from + len
-    while (i < end) {
-      if (!(Math.abs(values(i)) < ReproFloat.HugeThreshold)) { inDomain = false; i = end }
-      else i += 1
-    }
-    if (inDomain) e1 = scratch.run(values, from, len, s, c, 0, e1)
-    else {
-      var j = from
-      while (j < end) { add(values(j)); j += 1 }
-    }
-  }
+  def merge(o: ReproFloat): Unit = slots.merge(0, o.slots, 0)
 
-  def merge(o: ReproFloat): Unit = {
-    require(o.levels == levels, s"cannot merge repro<float,${o.levels}> into repro<float,$levels>")
-    if (o.hasNonFinite) { hasNonFinite = true; nonFinite += o.nonFinite }
-    if (o.huge != null && !o.huge.isEmpty) hugeState.merge(o.huge)
-    if (o.e1 == RsumF.EMPTY) return
-    if (e1 != RsumF.EMPTY && e1 > o.e1) {
-      val sb = o.s.clone(); val cb = o.c.clone()
-      e1 = RsumF.merge(s, c, 0, e1, sb, cb, 0, o.e1, levels)
-    } else {
-      e1 = RsumF.merge(s, c, 0, e1, o.s, o.c, 0, o.e1, levels)
-    }
-  }
+  def value: Float = slots.value(0)
 
-  def value: Float = {
-    if (hasNonFinite) return nonFinite
-    val base = RsumF.eval(s, c, 0, levels, e1)
-    if (huge == null || huge.isEmpty) base
-    else Math.scalb(huge.value, ReproFloat.HugeScaleLog) + base
-  }
+  def copy(): ReproFloat = new ReproFloat(slots.copy())
 
-  def copy(): ReproFloat =
-    new ReproFloat(levels, s.clone(), c.clone(), e1, nonFinite, hasNonFinite,
-                   if (huge == null) null else huge.copy())
+  def reset(): Unit = slots.clear(0)
 
-  def reset(): Unit = {
-    e1 = RsumF.EMPTY
-    nonFinite = 0.0f
-    hasNonFinite = false
-    huge = null
-    java.util.Arrays.fill(s, 0.0f)
-    java.util.Arrays.fill(c, 0L)
-  }
+  private def hugeState: ReproFloat =
+    if (slots.huge == null || slots.huge.isEmpty(0)) null else new ReproFloat(slots.huge)
 
   def bitEquals(o: ReproFloat): Boolean = {
+    val a = slots
+    val b = o.slots
     if (levels != o.levels) return false
-    if (e1 != RsumF.EMPTY) RsumF.propagate(s, c, 0, levels, e1)
-    if (o.e1 != RsumF.EMPTY) RsumF.propagate(o.s, o.c, 0, levels, o.e1)
-    val hugeEq = (huge == null || huge.isEmpty) && (o.huge == null || o.huge.isEmpty) ||
-      (huge != null && o.huge != null && huge.bitEquals(o.huge))
-    e1 == o.e1 && hasNonFinite == o.hasNonFinite && hugeEq &&
-    java.lang.Float.floatToRawIntBits(nonFinite) == java.lang.Float.floatToRawIntBits(o.nonFinite) &&
-    s.indices.forall(i =>
-      java.lang.Float.floatToRawIntBits(s(i)) == java.lang.Float.floatToRawIntBits(o.s(i))) &&
-    java.util.Arrays.equals(c, o.c)
+    if (a.e1(0) != RsumF.EMPTY) RsumF.propagate(a.s, a.c, 0, levels, a.e1(0))
+    if (b.e1(0) != RsumF.EMPTY) RsumF.propagate(b.s, b.c, 0, levels, b.e1(0))
+    val ha = hugeState
+    val hb = o.hugeState
+    val hugeEq = if (ha == null || hb == null) ha eq hb else ha.bitEquals(hb)
+    hugeEq && a.e1(0) == b.e1(0) && java.util.Arrays.equals(a.s, b.s) && java.util.Arrays.equals(a.c, b.c)
   }
 
   def serialize(): Array[Byte] = {
-    val hugeImg: Array[Byte] =
-      if (huge == null || huge.isEmpty) Array.emptyByteArray else huge.serialize()
+    val huge = hugeState
+    val hugeImg = if (huge == null) Array.emptyByteArray else huge.serialize()
     val bb = ByteBuffer.allocate(ReproFloat.baseByteSize(levels) + 4 + hugeImg.length)
-    bb.putInt(levels).putInt(e1)
-    bb.put(if (hasNonFinite) 1.toByte else 0.toByte)
-    bb.putFloat(nonFinite)
+    bb.putInt(levels).putInt(slots.e1(0))
+    bb.put(if (slots.hasNonFinite(0)) 1.toByte else 0.toByte)
+    bb.putFloat(slots.nonFinite(0))
     var l = 0
-    while (l < levels) { bb.putFloat(s(l)); l += 1 }
+    while (l < levels) { bb.putFloat(slots.s(l)); l += 1 }
     l = 0
-    while (l < levels) { bb.putLong(c(l)); l += 1 }
+    while (l < levels) { bb.putLong(slots.c(l)); l += 1 }
     bb.putInt(hugeImg.length).put(hugeImg)
     bb.array()
   }
@@ -125,21 +68,16 @@ object ReproFloat {
   def deserialize(bytes: Array[Byte]): ReproFloat = deserialize(ByteBuffer.wrap(bytes))
 
   private def deserialize(bb: ByteBuffer): ReproFloat = {
-    val levels = bb.getInt
-    val st = new ReproFloat(levels)
-    st.e1 = bb.getInt
-    st.hasNonFinite = bb.get() != 0
-    st.nonFinite = bb.getFloat
+    val st = new ReproFloat(bb.getInt)
+    val sl = st.slots
+    sl.e1(0) = bb.getInt
+    bb.get()
+    sl.setNonFinite(0, bb.getFloat)
     var l = 0
-    while (l < levels) { st.s(l) = bb.getFloat; l += 1 }
+    while (l < st.levels) { sl.s(l) = bb.getFloat; l += 1 }
     l = 0
-    while (l < levels) { st.c(l) = bb.getLong; l += 1 }
-    val hugeLen = bb.getInt
-    if (hugeLen > 0) {
-      val img = new Array[Byte](hugeLen)
-      bb.get(img)
-      st.huge = ReproFloat.deserialize(img)
-    }
+    while (l < st.levels) { sl.c(l) = bb.getLong; l += 1 }
+    if (bb.getInt > 0) sl.huge = deserialize(bb).slots
     st
   }
 

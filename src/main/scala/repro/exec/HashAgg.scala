@@ -4,8 +4,9 @@ import repro.core._
 
 /** Hash aggregation kernels (paper's HASHAGGREGATION, §IV/§V): open
   * addressing with identity hashing — the paper's choice, realistic for
-  * column stores with dense domain-encoded keys. One specialized workspace
-  * class per accumulator data type, so the cost differences between
+  * column stores with dense domain-encoded keys. [[AggTable]] owns the keys
+  * and the probe; one final subclass per accumulator data type owns its
+  * accumulators and its `aggregate` loop, so the cost differences between
   * built-in, DECIMAL, `repro<T,L>` and summation-buffer aggregates are
   * those of the accumulators, not of megamorphic dispatch.
   *
@@ -29,186 +30,150 @@ object HashAgg {
   }
 }
 
-/** Built-in double accumulator — the non-reproducible baseline. */
-final class PlainDTable(val cap: Int) {
+/** Open-addressing table of `cap` slots (a power of two) with linear
+  * probing. Slot keys are `Long`s so that [[AggTable.Free]], which no `Int`
+  * key equals, marks a free slot without a reserved key or a second array
+  * read per probe. At least one slot always stays free, so every probe
+  * ends: the key that would take the last free slot is refused with an
+  * `IllegalArgumentException`.
+  *
+  * `A` is the value-array type of `aggregate`. A subclass starts the
+  * accumulator of a newly claimed slot in `init` and finalizes it in
+  * `result`.
+  */
+abstract class AggTable[A](val cap: Int) {
+  require(cap > 0 && (cap & (cap - 1)) == 0, s"capacity must be a power of two, got $cap")
+
   private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val slotSum = new Array[Double](cap)
+  private val slotKey = new Array[Long](cap)
+  private var used = 0
   reset()
 
-  def reset(): Unit = java.util.Arrays.fill(slotKey, -1)
+  def aggregate(keys: Array[Int], values: A, from: Int, to: Int, shift: Int): Unit
 
-  def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
-    var i = from
-    while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      if (slotKey(h) != k) { slotKey(h) = k; slotSum(h) = values(i) }
-      else slotSum(h) += values(i)
-      i += 1
-    }
+  /** Start the accumulator of slot `h`, just claimed by a new key. */
+  protected def init(h: Int): Unit
+
+  /** Finalized aggregate of slot `h`. */
+  protected def result(h: Int): Double
+
+  /** Number of keys in the table. */
+  final def size: Int = used
+
+  final def reset(): Unit = {
+    java.util.Arrays.fill(slotKey, AggTable.Free)
+    used = 0
   }
 
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
+  /** Slot of `key`; the key's first row claims the first free slot on its
+    * probe path. Small enough for the JIT to inline into each subclass's
+    * `aggregate`, where the call to `init` then binds statically.
+    */
+  protected final def slotOf(key: Int, shift: Int): Int = {
+    val k = key.toLong
+    var h = (key >>> shift) & mask
+    var sk = slotKey(h)
+    while (sk != k) {
+      if (sk == AggTable.Free) {
+        if (used == mask) refuse(key)
+        slotKey(h) = k
+        used += 1
+        init(h)
+        return h
+      }
+      h = (h + 1) & mask
+      sk = slotKey(h)
+    }
+    h
+  }
+
+  private def refuse(key: Int): Nothing =
+    throw new IllegalArgumentException(s"key $key would take the last free slot of a $cap-slot table")
+
+  final def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
     var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) { outKeys(p) = slotKey(i); outVals(p) = slotSum(i); p += 1 }
-      i += 1
+    var h = 0
+    while (h < cap) {
+      if (slotKey(h) != AggTable.Free) { outKeys(p) = slotKey(h).toInt; outVals(p) = result(h); p += 1 }
+      h += 1
     }
     p
   }
 }
 
-/** Built-in float accumulator. */
-final class PlainFTable(val cap: Int) {
-  private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val slotSum = new Array[Float](cap)
-  reset()
+object AggTable {
+  final val Free: Long = Long.MinValue
+}
 
-  def reset(): Unit = java.util.Arrays.fill(slotKey, -1)
+/** Built-in double accumulator — the non-reproducible baseline. A slot
+  * starts at -0.0, the additive identity, so its sum is the same as when
+  * the first value is assigned.
+  */
+final class PlainDTable(cap: Int) extends AggTable[Array[Double]](cap) {
+  private val sum = new Array[Double](cap)
+
+  protected def init(h: Int): Unit = sum(h) = -0.0
+  protected def result(h: Int): Double = sum(h)
+
+  def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
+    var i = from
+    while (i < to) { sum(slotOf(keys(i), shift)) += values(i); i += 1 }
+  }
+}
+
+/** Built-in float accumulator. */
+final class PlainFTable(cap: Int) extends AggTable[Array[Float]](cap) {
+  private val sum = new Array[Float](cap)
+
+  protected def init(h: Int): Unit = sum(h) = -0.0f
+  protected def result(h: Int): Double = sum(h).toDouble
 
   def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
     var i = from
-    while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      if (slotKey(h) != k) { slotKey(h) = k; slotSum(h) = values(i) }
-      else slotSum(h) += values(i)
-      i += 1
-    }
-  }
-
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) { outKeys(p) = slotKey(i); outVals(p) = slotSum(i).toDouble; p += 1 }
-      i += 1
-    }
-    p
+    while (i < to) { sum(slotOf(keys(i), shift)) += values(i); i += 1 }
   }
 }
 
 /** DECIMAL(19) reference: 64-bit integer accumulation of values scaled by
   * 10^4 (the paper implements DECIMAL(p) as built-in integers).
   */
-final class Dec64Table(val cap: Int) {
-  private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val slotSum = new Array[Long](cap)
-  reset()
+final class Dec64Table(cap: Int) extends AggTable[Array[Double]](cap) {
+  private val sum = new Array[Long](cap)
 
-  def reset(): Unit = java.util.Arrays.fill(slotKey, -1)
+  protected def init(h: Int): Unit = sum(h) = 0L
+  protected def result(h: Int): Double = sum(h) / 10000.0
 
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
     var i = from
-    while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      val v = Math.round(values(i) * 10000.0)
-      if (slotKey(h) != k) { slotKey(h) = k; slotSum(h) = v }
-      else slotSum(h) += v
-      i += 1
-    }
-  }
-
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) { outKeys(p) = slotKey(i); outVals(p) = slotSum(i) / 10000.0; p += 1 }
-      i += 1
-    }
-    p
+    while (i < to) { sum(slotOf(keys(i), shift)) += Math.round(values(i) * 10000.0); i += 1 }
   }
 }
 
-/** `repro<double,L>` WITHOUT summation buffers (§IV): the state lives
-  * inline in the table (struct-of-arrays), `operator+=(double)` per row.
+/** `repro<double,L>` WITHOUT summation buffers (§IV): one state slot per
+  * table slot, `operator+=(double)` per row.
   */
-final class ReproDTable(val cap: Int, val levels: Int) {
-  private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val s = new Array[Double](cap * levels)
-  private val c = new Array[Long](cap * levels)
-  private val e1 = new Array[Int](cap)
-  reset()
+final class ReproDTable(cap: Int, val levels: Int) extends AggTable[Array[Double]](cap) {
+  private val states = new ReproSlotsD(cap, levels)
 
-  def reset(): Unit = {
-    java.util.Arrays.fill(slotKey, -1)
-    java.util.Arrays.fill(e1, RsumD.EMPTY)
-  }
+  protected def init(h: Int): Unit = states.clear(h)
+  protected def result(h: Int): Double = states.value(h)
 
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
     var i = from
-    while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      slotKey(h) = k
-      e1(h) = RsumD.add(s, c, h * levels, levels, e1(h), values(i))
-      i += 1
-    }
-  }
-
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) {
-        outKeys(p) = slotKey(i)
-        outVals(p) = RsumD.eval(s, c, i * levels, levels, e1(i))
-        p += 1
-      }
-      i += 1
-    }
-    p
+    while (i < to) { states.add(slotOf(keys(i), shift), values(i)); i += 1 }
   }
 }
 
 /** `repro<float,L>` WITHOUT summation buffers. */
-final class ReproFTable(val cap: Int, val levels: Int) {
-  private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val s = new Array[Float](cap * levels)
-  private val c = new Array[Long](cap * levels)
-  private val e1 = new Array[Int](cap)
-  reset()
+final class ReproFTable(cap: Int, val levels: Int) extends AggTable[Array[Float]](cap) {
+  private val states = new ReproSlotsF(cap, levels)
 
-  def reset(): Unit = {
-    java.util.Arrays.fill(slotKey, -1)
-    java.util.Arrays.fill(e1, RsumF.EMPTY)
-  }
+  protected def init(h: Int): Unit = states.clear(h)
+  protected def result(h: Int): Double = states.value(h).toDouble
 
   def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
     var i = from
-    while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      slotKey(h) = k
-      e1(h) = RsumF.add(s, c, h * levels, levels, e1(h), values(i))
-      i += 1
-    }
-  }
-
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) {
-        outKeys(p) = slotKey(i)
-        outVals(p) = RsumF.eval(s, c, i * levels, levels, e1(i)).toDouble
-        p += 1
-      }
-      i += 1
-    }
-    p
+    while (i < to) { states.add(slotOf(keys(i), shift), values(i)); i += 1 }
   }
 }
 
@@ -216,109 +181,59 @@ final class ReproFTable(val cap: Int, val levels: Int) {
   * the repro state + a `bsz`-value buffer + its fill offset; values are
   * appended per row and flushed through the vectorized kernel when full.
   */
-final class BufDTable(val cap: Int, val levels: Int, val bsz: Int) {
+final class BufDTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[Array[Double]](cap) {
   require(bsz >= 1, s"bsz must be >= 1, got $bsz")
-  private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val s = new Array[Double](cap * levels)
-  private val c = new Array[Long](cap * levels)
-  private val e1 = new Array[Int](cap)
+  private val states = new ReproSlotsD(cap, levels)
   private val buf = new Array[Double](cap * bsz)
-  private val next = new Array[Int](cap)
+  private val fill = new Array[Int](cap)
   private val scratch = new RsumBatchD(levels)
-  reset()
 
-  def reset(): Unit = {
-    java.util.Arrays.fill(slotKey, -1)
-    java.util.Arrays.fill(e1, RsumD.EMPTY)
-    java.util.Arrays.fill(next, 0)
+  protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
+
+  protected def result(h: Int): Double = {
+    states.addBatch(h, buf, h * bsz, fill(h), scratch)
+    fill(h) = 0
+    states.value(h)
   }
 
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
     var i = from
     while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      slotKey(h) = k
-      val n = next(h)
+      val h = slotOf(keys(i), shift)
+      val n = fill(h)
       buf(h * bsz + n) = values(i)
-      if (n + 1 == bsz) {
-        e1(h) = scratch.run(buf, h * bsz, bsz, s, c, h * levels, e1(h))
-        next(h) = 0
-      } else next(h) = n + 1
+      if (n + 1 == bsz) { states.addBatch(h, buf, h * bsz, bsz, scratch); fill(h) = 0 }
+      else fill(h) = n + 1
       i += 1
     }
-  }
-
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) {
-        val n = next(i)
-        var e = e1(i)
-        if (n > 0) e = scratch.run(buf, i * bsz, n, s, c, i * levels, e)
-        outKeys(p) = slotKey(i)
-        outVals(p) = RsumD.eval(s, c, i * levels, levels, e)
-        p += 1
-      }
-      i += 1
-    }
-    p
   }
 }
 
 /** `repro<float,L>` WITH summation buffers. */
-final class BufFTable(val cap: Int, val levels: Int, val bsz: Int) {
+final class BufFTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[Array[Float]](cap) {
   require(bsz >= 1, s"bsz must be >= 1, got $bsz")
-  private val mask = cap - 1
-  private val slotKey = new Array[Int](cap)
-  private val s = new Array[Float](cap * levels)
-  private val c = new Array[Long](cap * levels)
-  private val e1 = new Array[Int](cap)
+  private val states = new ReproSlotsF(cap, levels)
   private val buf = new Array[Float](cap * bsz)
-  private val next = new Array[Int](cap)
+  private val fill = new Array[Int](cap)
   private val scratch = new RsumBatchF(levels)
-  reset()
 
-  def reset(): Unit = {
-    java.util.Arrays.fill(slotKey, -1)
-    java.util.Arrays.fill(e1, RsumF.EMPTY)
-    java.util.Arrays.fill(next, 0)
+  protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
+
+  protected def result(h: Int): Double = {
+    states.addBatch(h, buf, h * bsz, fill(h), scratch)
+    fill(h) = 0
+    states.value(h).toDouble
   }
 
   def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
     var i = from
     while (i < to) {
-      val k = keys(i)
-      var h = (k >>> shift) & mask
-      while (slotKey(h) != k && slotKey(h) != -1) h = (h + 1) & mask
-      slotKey(h) = k
-      val n = next(h)
+      val h = slotOf(keys(i), shift)
+      val n = fill(h)
       buf(h * bsz + n) = values(i)
-      if (n + 1 == bsz) {
-        e1(h) = scratch.run(buf, h * bsz, bsz, s, c, h * levels, e1(h))
-        next(h) = 0
-      } else next(h) = n + 1
+      if (n + 1 == bsz) { states.addBatch(h, buf, h * bsz, bsz, scratch); fill(h) = 0 }
+      else fill(h) = n + 1
       i += 1
     }
-  }
-
-  def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    var p = outPos
-    var i = 0
-    while (i < cap) {
-      if (slotKey(i) != -1) {
-        val n = next(i)
-        var e = e1(i)
-        if (n > 0) e = scratch.run(buf, i * bsz, n, s, c, i * levels, e)
-        outKeys(p) = slotKey(i)
-        outVals(p) = RsumF.eval(s, c, i * levels, levels, e).toDouble
-        p += 1
-      }
-      i += 1
-    }
-    p
   }
 }

@@ -58,124 +58,63 @@ object PartitionAndAggregate {
     else 2
 
   /** Run GROUPBY-SUM over double-typed values. Returns (group key, sum)
-    * pairs ordered by partition then table slot. The per-partition hash
-    * table is allocated once and reused (reset) across partitions.
+    * pairs ordered by partition then table slot. Throws
+    * `IllegalArgumentException` if the input holds more than `nGroups`
+    * distinct keys, or more than a partition's table can hold.
     */
   def run(keys: Array[Int], values: Array[Double], nGroups: Int, d: Int,
           kind: AggKind): (Array[Int], Array[Double]) = {
     val part = RadixPartition.partition(keys, values, d)
-    val fanout = 1 << (8 * d)
-    val shift = 8 * d
-    val cap = HashAgg.capacityFor(math.max(1, (nGroups + fanout - 1) / fanout))
-    val outKeys = new Array[Int](math.min(nGroups.toLong, keys.length.toLong).toInt)
-    val outVals = new Array[Double](outKeys.length)
-
-    trait TableD {
-      def reset(): Unit
-      def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit
-      def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int
+    val cap = capacity(nGroups, d)
+    val table: AggTable[Array[Double]] = kind match {
+      case PlainD       => new PlainDTable(cap)
+      case Dec64        => new Dec64Table(cap)
+      case ReproD(l)    => new ReproDTable(cap, l)
+      case BufD(l, bsz) => new BufDTable(cap, l, bsz)
+      case other => throw new IllegalArgumentException(s"${other.name} needs the float-typed entry point")
     }
-    val table: TableD = kind match {
-      case PlainD =>
-        val t = new PlainDTable(cap)
-        new TableD {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Double], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case Dec64 =>
-        val t = new Dec64Table(cap)
-        new TableD {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Double], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case ReproD(l) =>
-        val t = new ReproDTable(cap, l)
-        new TableD {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Double], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case BufD(l, bsz) =>
-        val t = new BufDTable(cap, l, bsz)
-        new TableD {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Double], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case other =>
-        throw new IllegalArgumentException(s"${other.name} needs the float-typed entry point")
-    }
-
-    var pos = 0
-    var p = 0
-    var first = true
-    while (p < fanout) {
-      val from = part.offsets(p)
-      val to   = part.offsets(p + 1)
-      if (to > from) {
-        if (!first) table.reset()
-        first = false
-        table.aggregate(part.keys, part.values, from, to, shift)
-        pos = table.emit(outKeys, outVals, pos)
-      }
-      p += 1
-    }
-    (outKeys.take(pos), outVals.take(pos))
+    aggregatePartitions(part.keys, part.values, part.offsets, d, nGroups, table)
   }
 
   /** Run GROUPBY-SUM over float-typed values. */
   def runF(keys: Array[Int], values: Array[Float], nGroups: Int, d: Int,
            kind: AggKind): (Array[Int], Array[Double]) = {
     val part = RadixPartition.partitionF(keys, values, d)
+    val cap = capacity(nGroups, d)
+    val table: AggTable[Array[Float]] = kind match {
+      case PlainF       => new PlainFTable(cap)
+      case ReproF(l)    => new ReproFTable(cap, l)
+      case BufF(l, bsz) => new BufFTable(cap, l, bsz)
+      case other => throw new IllegalArgumentException(s"${other.name} needs the double-typed entry point")
+    }
+    aggregatePartitions(part.keys, part.values, part.offsets, d, nGroups, table)
+  }
+
+  /** Table capacity for the groups of one of the `256^d` partitions. */
+  private def capacity(nGroups: Int, d: Int): Int = {
     val fanout = 1 << (8 * d)
-    val shift = 8 * d
-    val cap = HashAgg.capacityFor(math.max(1, (nGroups + fanout - 1) / fanout))
+    HashAgg.capacityFor(math.max(1, (nGroups + fanout - 1) / fanout))
+  }
+
+  /** HASHAGGREGATION of each non-empty partition into the one `table`,
+    * which is reset between partitions.
+    */
+  private def aggregatePartitions[A](keys: Array[Int], values: A, offsets: Array[Int], d: Int,
+                                     nGroups: Int, table: AggTable[A]): (Array[Int], Array[Double]) = {
     val outKeys = new Array[Int](math.min(nGroups.toLong, keys.length.toLong).toInt)
     val outVals = new Array[Double](outKeys.length)
-
-    trait TableF {
-      def reset(): Unit
-      def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit
-      def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int
-    }
-    val table: TableF = kind match {
-      case PlainF =>
-        val t = new PlainFTable(cap)
-        new TableF {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Float], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case ReproF(l) =>
-        val t = new ReproFTable(cap, l)
-        new TableF {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Float], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case BufF(l, bsz) =>
-        val t = new BufFTable(cap, l, bsz)
-        new TableF {
-          def reset() = t.reset()
-          def aggregate(k: Array[Int], v: Array[Float], f: Int, u: Int, s: Int) = t.aggregate(k, v, f, u, s)
-          def emit(ok: Array[Int], ov: Array[Double], p: Int) = t.emit(ok, ov, p)
-        }
-      case other =>
-        throw new IllegalArgumentException(s"${other.name} needs the double-typed entry point")
-    }
-
     var pos = 0
-    var p = 0
     var first = true
-    while (p < fanout) {
-      val from = part.offsets(p)
-      val to   = part.offsets(p + 1)
+    var p = 0
+    while (p < offsets.length - 1) {
+      val from = offsets(p)
+      val to   = offsets(p + 1)
       if (to > from) {
         if (!first) table.reset()
         first = false
-        table.aggregate(part.keys, part.values, from, to, shift)
+        table.aggregate(keys, values, from, to, 8 * d)
+        if (table.size > outKeys.length - pos)
+          throw new IllegalArgumentException(s"input holds more than $nGroups distinct keys")
         pos = table.emit(outKeys, outVals, pos)
       }
       p += 1

@@ -74,15 +74,4 @@ object TpchQ1 {
          |WHERE l_shipdate <= DATE '$Cutoff'
          |GROUP BY l_returnflag, l_linestatus
          |ORDER BY l_returnflag, l_linestatus""".stripMargin)
-
-  /** "Other" proxy for the sorted variant — includes the sort itself, like
-    * the paper's 682.1% "Other" row for sorted doubles.
-    */
-  def otherOnlySorted(spark: SparkSession): DataFrame =
-    spark.sql(
-      s"""SELECT l_returnflag, l_linestatus, count(*) AS count_order
-         |FROM lineitem_sorted
-         |WHERE l_shipdate <= DATE '$Cutoff'
-         |GROUP BY l_returnflag, l_linestatus
-         |ORDER BY l_returnflag, l_linestatus""".stripMargin)
 }

@@ -3,6 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import repro.exec.{AggKind, PartitionAndAggregate}
+
 class ReproFloatSpec extends AnyFunSuite {
   import ExactSum.bitsF
 
@@ -113,10 +115,10 @@ class ReproFloatSpec extends AnyFunSuite {
   test("buffered float == unbuffered bitwise") {
     for (bsz <- Seq(0, 1, 8, 64)) {
       val vals = mixedF(3000, 461)
-      val buf = new BufferedReproFloat(2, bsz)
-      vals.foreach(buf.add)
+      val kind = if (bsz == 0) AggKind.ReproF(2) else AggKind.BufF(2, bsz)
+      val (_, got) = PartitionAndAggregate.runF(new Array[Int](vals.length), vals, 1, 0, kind)
       val ref = { val st = new ReproFloat(2); vals.foreach(st.add); st }
-      assert(bitsF(buf.value) == bitsF(ref.value), s"bsz=$bsz")
+      assert(ExactSum.bits(got(0)) == ExactSum.bits(ref.value.toDouble), s"bsz=$bsz")
     }
   }
 

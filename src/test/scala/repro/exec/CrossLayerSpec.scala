@@ -1,0 +1,128 @@
+package repro.exec
+
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+import scala.reflect.ClassTag
+import scala.util.Random
+
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.{Seconds, Span}
+
+import repro.FullDomain
+import repro.core.ExactSum.bits
+
+/** The same multisets through `ReproDouble`/`ReproFloat` and through
+  * `PartitionAndAggregate` must give the same result bits, for the whole
+  * IEEE domain, every depth and every buffer size.
+  */
+class CrossLayerSpec extends AnyFunSuite {
+  import AggKind._
+
+  private val Levels = 2
+  private val Rows = 20000
+  private val nGroups = FullDomain.Keys.length
+
+  private def groupBits(out: (Array[Int], Array[Double])): Map[Int, Long] = {
+    assert(out._1.distinct.length == out._1.length, "a key was emitted twice")
+    out._1.zip(out._2.map(bits)).toMap
+  }
+
+  private def shuffled[A: ClassTag](keys: Array[Int], vals: Array[A], seed: Long): (Array[Int], Array[A]) = {
+    val perm = new Random(seed).shuffle(keys.indices.toVector).toArray
+    (perm.map(keys), perm.map(vals))
+  }
+
+  /** The reference must hold every kind of result, or the test is vacuous. */
+  private def assertCoversDomain(ref: Map[Int, Long]): Unit = {
+    val vs = ref.values.map(java.lang.Double.longBitsToDouble)
+    assert(vs.exists(_.isNaN) && vs.exists(_ == Double.PositiveInfinity) &&
+           vs.exists(_ == Double.NegativeInfinity) && vs.exists(v => v != 0.0 && !v.isInfinite && !v.isNaN))
+  }
+
+  for (seed <- 1L to 3L) {
+    test(s"seed=$seed: ReproD/BufD bits equal ReproDouble bits on full-domain input") {
+      val (keys, vals) = FullDomain.doubles(Rows, seed)
+      val ref = FullDomain.reproBits(keys, vals, Levels)
+      assertCoversDomain(ref)
+      for (d <- 0 to 2; kind <- ReproD(Levels) +: Seq(1, 16, 256).map(BufD(Levels, _))) {
+        val (k, v) = shuffled(keys, vals, seed * 10 + d)
+        assert(groupBits(PartitionAndAggregate.run(k, v, nGroups, d, kind)) == ref, s"${kind.name}, d=$d")
+      }
+    }
+
+    test(s"seed=$seed: ReproF/BufF bits equal ReproFloat bits on full-domain input") {
+      val (keys, vals) = FullDomain.floats(Rows, seed)
+      val ref = FullDomain.reproBitsF(keys, vals, Levels)
+      assertCoversDomain(ref)
+      for (d <- 0 to 2; kind <- ReproF(Levels) +: Seq(1, 16, 256).map(BufF(Levels, _))) {
+        val (k, v) = shuffled(keys, vals, seed * 10 + d)
+        assert(groupBits(PartitionAndAggregate.runF(k, v, nGroups, d, kind)) == ref, s"${kind.name}, d=$d")
+      }
+    }
+  }
+}
+
+/** Inputs outside what a table or `nGroups` can hold must fail with an
+  * `IllegalArgumentException`, never a wrong result, another exception or
+  * an endless probe loop.
+  */
+class LoudFailureSpec extends AnyFunSuite with TimeLimits {
+  import AggKind._
+
+  private val allKinds = Seq(PlainD, Dec64, ReproD(2), BufD(2, 16), PlainF, ReproF(2), BufF(2, 16))
+
+  /** Runs `body` on a daemon thread and waits at most a minute for it: a
+    * spinning probe loop ignores interrupts, the waiting test thread does
+    * not.
+    */
+  private def limited[T](body: => T): T = {
+    implicit val signaler: Signaler = ThreadSignaler
+    failAfter(Span(60, Seconds))(Await.result(Future(body)(ExecutionContext.global), Duration.Inf))
+  }
+
+  /** GROUP BY `keys` with every value 1. */
+  private def countByKey(kind: AggKind, keys: Array[Int], nGroups: Int, d: Int): (Array[Int], Array[Double]) =
+    kind match {
+      case PlainF | ReproF(_) | BufF(_, _) =>
+        PartitionAndAggregate.runF(keys, Array.fill(keys.length)(1.0f), nGroups, d, kind)
+      case _ =>
+        PartitionAndAggregate.run(keys, Array.fill(keys.length)(1.0), nGroups, d, kind)
+    }
+
+  test("more distinct keys than nGroups throws IllegalArgumentException") {
+    val keys = Array.range(0, 100)
+    for (nGroups <- Seq(10, 50, 99); d <- 0 to 1; kind <- allKinds)
+      withClue(s"${kind.name}, nGroups=$nGroups, d=$d: ") {
+        intercept[IllegalArgumentException](limited(countByKey(kind, keys, nGroups, d)))
+      }
+  }
+
+  test("keys that all land in one partition throw IllegalArgumentException") {
+    val keys = Array.tabulate(1024)(_ * 256)
+    for (kind <- allKinds)
+      withClue(s"${kind.name}: ") {
+        intercept[IllegalArgumentException](limited(countByKey(kind, keys, 1024, 1)))
+      }
+  }
+
+  test("a table refuses the key that would take its last free slot") {
+    val t = new PlainDTable(16)
+    t.aggregate(Array.range(0, 15), Array.fill(15)(1.0), 0, 15, 0)
+    assert(t.size == 15)
+    intercept[IllegalArgumentException](t.aggregate(Array(15), Array(1.0), 0, 1, 0))
+    t.aggregate(Array(3), Array(2.0), 0, 1, 0)
+    val out = (new Array[Int](15), new Array[Double](15))
+    assert(t.emit(out._1, out._2, 0) == 15)
+    assert(out._1.zip(out._2).toMap == (0 until 15).map(k => k -> (if (k == 3) 3.0 else 1.0)).toMap)
+  }
+
+  test("keys -1, Int.MinValue and Int.MaxValue are ordinary keys in every table") {
+    val keys = Array(-1, Int.MinValue, Int.MaxValue, 0, -1, Int.MaxValue, -1)
+    val expected = Map(-1 -> 3.0, Int.MinValue -> 1.0, Int.MaxValue -> 2.0, 0 -> 1.0)
+    for (kind <- allKinds; d <- 0 to 2) {
+      val (k, v) = countByKey(kind, keys, expected.size, d)
+      assert(k.zip(v).toMap == expected, s"${kind.name}, d=$d")
+    }
+  }
+}

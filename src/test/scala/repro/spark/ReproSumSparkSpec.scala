@@ -2,16 +2,13 @@ package repro.spark
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{FullDomain, Oracle, SparkSpec, SynthData}
 import repro.core.ExactSum.bits
 import scala.util.Random
 
 class ReproSumSparkSpec extends SparkSpec {
 
-  private lazy val init: Unit = {
-    ReproFunctions.register(spark)
-    ReproSumAggregator.register(spark)
-  }
+  private lazy val init: Unit = ReproFunctions.register(spark)
 
   private def pairsDf(n: Int, g: Int, seed: Long, mixed: Boolean = false): DataFrame = {
     import spark.implicits._
@@ -193,25 +190,19 @@ class ReproSumSparkSpec extends SparkSpec {
     base.unpersist()
   }
 
-  test("rsum_agg (stable Aggregator API) bits equal the Catalyst rsum bits") {
-    init
-    val base = pairsDf(5000, 10, 2301, mixed = true)
-    base.createOrReplaceTempView("at")
-    val a = spark.sql("SELECT k, rsum(v, 2) AS s FROM at GROUP BY k")
-      .collect().map(r => r.getInt(0) -> bits(r.getDouble(1))).toMap
-    val b = spark.sql("SELECT k, rsum_agg(v) AS s FROM at GROUP BY k")
-      .collect().map(r => r.getInt(0) -> bits(r.getDouble(1))).toMap
-    assert(a == b)
-  }
-
-  test("rsum_agg returns NULL on empty input and ignores NULLs") {
+  test("rsum and rsum_buffered bits equal ReproDouble bits on full-domain input, any repartition") {
     init
     import spark.implicits._
-    Seq[(Int, Option[Double])]((1, None), (2, Some(3.0)))
-      .toDF("k", "v").createOrReplaceTempView("aggnull")
-    val rows = spark.sql(
-      "SELECT k, rsum_agg(v) AS s FROM aggnull GROUP BY k ORDER BY k").collect()
-    assert(rows(0).isNullAt(1))
-    assert(rows(1).getDouble(1) == 3.0)
+    val (keys, vals) = FullDomain.doubles(20000, 2401)
+    val ref = FullDomain.reproBits(keys, vals, 2)
+    val base = keys.zip(vals).toSeq.toDF("k", "v").cache()
+    base.count()
+    for (p <- Seq(1, 7, 64); agg <- "rsum(v, 2)" +: Seq(1, 16, 256).map(b => s"rsum_buffered(v, 2, $b)")) {
+      base.repartition(p).createOrReplaceTempView("fd")
+      val got = spark.sql(s"SELECT k, $agg AS s FROM fd GROUP BY k")
+        .collect().map(r => r.getInt(0) -> bits(r.getDouble(1))).toMap
+      assert(got == ref, s"$agg after repartition($p)")
+    }
+    base.unpersist()
   }
 }
