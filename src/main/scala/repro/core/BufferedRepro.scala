@@ -11,6 +11,11 @@ import java.nio.ByteBuffer
   * `bsz == 0` selects the unbuffered (scalar, per-value) path — the §IV
   * drop-in behaviour — so one type covers both experimental configurations.
   *
+  * With many groups a buffer rarely fills (§V-C, Fig. 8), so a state pays
+  * only for what it holds: the pending buffer starts at `min(bsz, 16)`
+  * values on the first `add` and doubles up to `bsz`, and flushes use the
+  * thread's kernel ([[RsumBatchD.forThread]]) instead of one of their own.
+  *
   * The finalized value is bit-identical to the unbuffered path on the same
   * multiset of inputs (batched extraction captures the identical exact
   * content per value).
@@ -19,27 +24,25 @@ final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializa
   require(bsz >= 0, s"buffer size must be >= 0, got $bsz")
 
   val state = new ReproDouble(levels)
-  private val buf: Array[Double] = if (bsz > 0) new Array[Double](bsz) else null
+  private var buf: Array[Double] = BufferedReproDouble.NoValues
   private var n: Int = 0
-  @transient private var scratch: RsumBatchD = _
-
-  private def scratchOrInit(): RsumBatchD = {
-    if (scratch == null) scratch = new RsumBatchD(levels)
-    scratch
-  }
 
   def add(v: Double): Unit = {
     if (bsz == 0) state.add(v)
     else {
+      if (n == buf.length) grow()
       buf(n) = v
       n += 1
       if (n == bsz) flush()
     }
   }
 
+  private def grow(): Unit =
+    buf = java.util.Arrays.copyOf(buf, if (n == 0) math.min(bsz, 16) else math.min(2 * n, bsz))
+
   /** Aggregate all pending values into the state (vectorized). */
   def flush(): Unit = {
-    if (n > 0) { state.addBatch(buf, 0, n, scratchOrInit()); n = 0 }
+    if (n > 0) { state.addBatch(buf, 0, n, RsumBatchD.forThread(levels)); n = 0 }
   }
 
   /** Merge `o` into this (both sides are flushed first; `o`'s state is not
@@ -54,28 +57,38 @@ final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializa
 
   def isEmpty: Boolean = n == 0 && state.isEmpty
 
-  /** Binary image: pending values are flushed first, so only the state is
-    * shipped (the paper makes the same observation for its merge phase:
-    * shipping buffers would waste space).
+  private[core] def pendingCapacity: Int = buf.length
+
+  /** Binary image: `levels`, `bsz`, then the [[ReproDouble]] image. Pending
+    * values are flushed first, so only the state is shipped (the paper
+    * makes the same observation for its merge phase: shipping buffers
+    * would waste space).
     */
-  def serialize(): Array[Byte] = {
+  def serialize(): Array[Byte] = image(0).array()
+
+  /** A heap buffer of `header` free bytes followed by the image, so that a
+    * caller can prefix its own fields without copying the image.
+    */
+  private[repro] def image(header: Int): ByteBuffer = {
     flush()
-    val inner = state.serialize()
-    val bb = ByteBuffer.allocate(8 + inner.length)
-    bb.putInt(levels).putInt(bsz).put(inner)
-    bb.array()
+    val bb = ByteBuffer.allocate(header + 8 + ReproDouble.imageSize(state.slots))
+    bb.position(header)
+    bb.putInt(levels).putInt(bsz)
+    ReproDouble.write(state.slots, bb)
+    bb
   }
 }
 
 object BufferedReproDouble {
-  def deserialize(bytes: Array[Byte]): BufferedReproDouble = {
-    val bb = ByteBuffer.wrap(bytes)
+  private val NoValues = new Array[Double](0)
+
+  def deserialize(bytes: Array[Byte]): BufferedReproDouble = read(ByteBuffer.wrap(bytes))
+
+  /** Reads an image at `bb`'s position, in place. */
+  private[repro] def read(bb: ByteBuffer): BufferedReproDouble = {
     val levels = bb.getInt
-    val bsz = bb.getInt
-    val rest = new Array[Byte](bytes.length - 8)
-    bb.get(rest)
-    val out = new BufferedReproDouble(levels, bsz)
-    out.state.merge(ReproDouble.deserialize(rest))
+    val out = new BufferedReproDouble(levels, bb.getInt)
+    ReproDouble.read(bb, out.state.slots)
     out
   }
 }

@@ -10,12 +10,16 @@ package repro.core
   * `[1.5, 1.75) * ufp` has `0.25 * ufp` of headroom before the exponent
   * could change, so any `NB <= 2^(M-W-1)` is safe — we use `2^(M-W-2)` for
   * margin. `V` is the lane count of the batched ("SIMD") kernel.
+  * `BatchMin` is the shortest chunk the batched kernel takes: below it the
+  * per-call lane set-up and horizontal merge cost more than the scalar
+  * path saves (Fig. 6 crossover, EXPERIMENTS.md).
   */
 object FpD {
   val M: Int = 52
   val W: Int = 40
   val NB: Int = 1 << (M - W - 2) // 1024
   val V: Int = 4
+  val BatchMin: Int = 12
 
   /** Lowest admissible level-1 extractor exponent (a multiple of W so the
     * global exponent grid stays aligned across independently built states).
@@ -37,6 +41,7 @@ object FpF {
   val W: Int = 18
   val NB: Int = 1 << (M - W - 2) // 8
   val V: Int = 8
+  val BatchMin: Int = 16
   val E1MIN: Int = -108
   val ELMIN: Int = -120
 }

@@ -58,14 +58,15 @@ final class ReproSlotsD(val n: Int, val levels: Int) extends Serializable {
 
   /** Add `values(from until from+len)` to slot `i` through the batched
     * kernel; the state is bit-identical to adding the values one by one.
-    * A batch holding a huge or non-finite value is routed per value.
+    * A batch shorter than [[FpD.BatchMin]], or holding a huge or non-finite
+    * value, is routed per value.
     */
   def addBatch(i: Int, values: Array[Double], from: Int, len: Int, scratch: RsumBatchD): Unit = {
     require(scratch.levels == levels, "scratch lane width mismatch")
     val end = from + len
     var j = from
     // !(a < T) catches huge, ±Inf and NaN in one test
-    while (j < end && Math.abs(values(j)) < ReproDouble.HugeThreshold) j += 1
+    if (len >= FpD.BatchMin) while (j < end && Math.abs(values(j)) < ReproDouble.HugeThreshold) j += 1
     if (j == end) e1(i) = scratch.run(values, from, len, s, c, i * levels, e1(i))
     else {
       j = from
@@ -161,7 +162,7 @@ final class ReproSlotsF(val n: Int, val levels: Int) extends Serializable {
     require(scratch.levels == levels, "scratch lane width mismatch")
     val end = from + len
     var j = from
-    while (j < end && Math.abs(values(j)) < ReproFloat.HugeThreshold) j += 1
+    if (len >= FpF.BatchMin) while (j < end && Math.abs(values(j)) < ReproFloat.HugeThreshold) j += 1
     if (j == end) e1(i) = scratch.run(values, from, len, s, c, i * levels, e1(i))
     else {
       j = from

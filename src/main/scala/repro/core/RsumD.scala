@@ -320,3 +320,17 @@ final class RsumBatchD(val levels: Int) {
     e1
   }
 }
+
+object RsumBatchD {
+  // Indexed by levels (1..16). A kernel holds 32 KiB of scratch, so
+  // summation buffers share their thread's kernel instead of owning one.
+  private val kernels = ThreadLocal.withInitial(() => new Array[RsumBatchD](17))
+
+  /** The calling thread's kernel for `levels`; never shared across threads. */
+  def forThread(levels: Int): RsumBatchD = {
+    val ks = kernels.get
+    var k = ks(levels)
+    if (k == null) { k = new RsumBatchD(levels); ks(levels) = k }
+    k
+  }
+}

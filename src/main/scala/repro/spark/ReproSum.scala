@@ -15,9 +15,11 @@ import repro.core.BufferedReproDouble
   * + pending values) plus a non-null row count for SQL `SUM` semantics
   * (empty group -> NULL).
   */
-final class ReproSumState(val levels: Int, val bufferSize: Int) {
-  val buf = new BufferedReproDouble(levels, bufferSize)
-  var count: Long = 0L
+final class ReproSumState private[spark] (val buf: BufferedReproDouble, var count: Long) {
+  def this(levels: Int, bufferSize: Int) = this(new BufferedReproDouble(levels, bufferSize), 0L)
+
+  def levels: Int = buf.levels
+  def bufferSize: Int = buf.bsz
 }
 
 /** The paper's reproducible SUM as a Catalyst aggregate (§V-D "system
@@ -79,21 +81,21 @@ case class ReproSum(child: Expression,
   override def eval(state: ReproSumState): Any =
     if (state.count == 0) null else state.buf.value
 
+  /** The count, then the [[BufferedReproDouble]] image, in one array. */
   override def serialize(state: ReproSumState): Array[Byte] = {
-    val inner = state.buf.serialize()
-    val bb = ByteBuffer.allocate(8 + inner.length)
-    bb.putLong(state.count).put(inner)
+    val bb = state.buf.image(8)
+    bb.putLong(0, state.count)
     bb.array()
   }
 
+  /** Reads the image in place: no copy of `bytes` and no state besides the
+    * returned one.
+    */
   override def deserialize(bytes: Array[Byte]): ReproSumState = {
     val bb = ByteBuffer.wrap(bytes)
     val count = bb.getLong
-    val rest = new Array[Byte](bytes.length - 8)
-    bb.get(rest)
-    val st = new ReproSumState(levels, bufferSize)
-    st.buf.merge(BufferedReproDouble.deserialize(rest))
-    st.count = count
+    val st = new ReproSumState(BufferedReproDouble.read(bb), count)
+    require(st.levels == levels, s"rsum: a repro<double,${st.levels}> image for a repro<double,$levels> aggregate")
     st
   }
 
@@ -127,9 +129,18 @@ object ReproFunctions {
     */
   val DefaultBufferSize = 256
 
+  /** An integral literal (TINYINT to BIGINT) that fits in an `Int`;
+    * anything else fails with an `IllegalArgumentException` naming `what`.
+    */
   private def intArg(e: Expression, what: String): Int = {
     require(e.foldable, s"$what must be a literal")
-    e.eval().asInstanceOf[Number].intValue()
+    e.eval() match {
+      case v: Byte                 => v
+      case v: Short                => v
+      case v: Int                  => v
+      case v: Long if v.isValidInt => v.toInt
+      case v => throw new IllegalArgumentException(s"$what must be an integer literal within Int range, got $v")
+    }
   }
 
   /** Registers `rsum(x[, levels])` and `rsum_buffered(x[, levels[, bsz]])`

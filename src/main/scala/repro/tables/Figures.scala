@@ -1,7 +1,7 @@
 package repro.tables
 
 import repro.SynthData
-import repro.core.{ReproDouble, RsumBatchD}
+import repro.core.{ReproDouble, RsumBatchD, RsumD}
 import repro.exec.{AggKind, PartitionAndAggregate}
 
 /** Fig. 4 (paper §IV): HASHAGGREGATION at 16 groups with the unbuffered
@@ -96,6 +96,8 @@ object Fig6 {
       acc
     }
 
+    // The kernel itself: `ReproDouble.addBatch` takes the scalar path below
+    // this crossover (FpD.BatchMin).
     def simdChunked(c: Int): Double = {
       val scratch = new RsumBatchD(levels)
       nsPerElement(n, warmup, reps) {
@@ -103,9 +105,9 @@ object Fig6 {
         var i = 0
         while (i < n) {
           val len = math.min(c, n - i)
-          val st = new ReproDouble(levels)
-          st.addBatch(vals, i, len, scratch)
-          acc += st.value
+          val s = new Array[Double](levels)
+          val cs = new Array[Long](levels)
+          acc += RsumD.eval(s, cs, 0, levels, scratch.run(vals, i, len, s, cs, 0, RsumD.EMPTY))
           i += len
         }
         acc

@@ -18,11 +18,14 @@ import repro.core.ExactSum.bits
 object FullDomain {
   val Keys: Array[Int] = Array(-1, Int.MinValue, Int.MaxValue) ++ Array.tabulate(45)(i => 37 * i - 200)
 
-  def doubles(n: Int, seed: Long): (Array[Int], Array[Double]) =
-    rows(n, seed, Double.MaxValue, 987, Double.MinPositiveValue, 80)
+  /** `Keys` followed by more keys, `count` in all. */
+  def keys(count: Int): Array[Int] = Keys ++ Array.tabulate(count - Keys.length)(i => 3 * i + 5000)
+
+  def doubles(n: Int, seed: Long, keys: Array[Int] = Keys): (Array[Int], Array[Double]) =
+    rows(n, seed, keys, Double.MaxValue, 987, Double.MinPositiveValue, 80)
 
   def floats(n: Int, seed: Long): (Array[Int], Array[Float]) = {
-    val (keys, vals) = rows(n, seed, Float.MaxValue, 120, Float.MinPositiveValue, 30)
+    val (keys, vals) = rows(n, seed, Keys, Float.MaxValue, 120, Float.MinPositiveValue, 30)
     (keys, vals.map(_.toFloat))
   }
 
@@ -42,9 +45,10 @@ object FullDomain {
 
   /** Values are exact in the format of `max`; `huge` is its huge threshold
     * (log2), `tiny` its smallest subnormal, `spread` the binade range of
-    * the ordinary finite values.
+    * the ordinary finite values. The special class of `keySet(g)` is
+    * `g % 6`.
     */
-  private def rows(n: Int, seed: Long, max: Double, huge: Int, tiny: Double,
+  private def rows(n: Int, seed: Long, keySet: Array[Int], max: Double, huge: Int, tiny: Double,
                    spread: Int): (Array[Int], Array[Double]) = {
     val r = new Random(seed)
     def sign: Double = if (r.nextBoolean()) 1.0 else -1.0
@@ -62,11 +66,11 @@ object FullDomain {
       case 4 => Double.NaN
       case _ => sign * Double.PositiveInfinity
     }
-    val keys = Array.fill(n)(Keys(r.nextInt(Keys.length)))
-    val vals = keys.map { k =>
-      val cls = Keys.indexOf(k) % 6
+    val idx = Array.fill(n)(r.nextInt(keySet.length))
+    val vals = idx.map { g =>
+      val cls = g % 6
       if (cls != 0 && r.nextInt(16) == 0) special(cls) else finite
     }
-    (keys, vals)
+    (idx.map(keySet), vals)
   }
 }

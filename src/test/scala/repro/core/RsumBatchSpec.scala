@@ -128,6 +128,59 @@ class RsumBatchSpec extends AnyFunSuite {
     st.addBatch(new Array[Double](10), 3, 0, new RsumBatchD(2))
     assert(st.value == 5.0)
   }
+
+  /** 20 chunks of `n` finite values, one in four a zero or subnormal (the
+    * batched kernel runs them at `n >= BatchMin`), then one chunk per
+    * special value, holding it at a random position.
+    */
+  private def boundaryChunks(r: Random, n: Int, tiny: Double, specials: Seq[Double]): Seq[Array[Double]] = {
+    def chunk() = Array.fill(n)(r.nextInt(4) match {
+      case 0 => if (r.nextBoolean()) 0.0 else -0.0
+      case 1 => (r.nextInt(2001) - 1000) * tiny
+      case _ => (r.nextDouble() * 2 - 1) * math.pow(2.0, r.nextInt(80) - 40)
+    })
+    Seq.fill(20)(chunk()) ++ specials.map { sp => val c = chunk(); c(r.nextInt(n)) = sp; c }
+  }
+
+  for (d <- -1 to 1; l <- Seq(1, 2, 4)) {
+    val at = if (d == 0) "BatchMin" else f"BatchMin$d%+d"
+    test(s"L=$l: ReproDouble.addBatch at len=$at == scalar bitwise, full domain") {
+      val n = FpD.BatchMin + d
+      val chunks = boundaryChunks(new Random(331L * n + l), n, Double.MinPositiveValue,
+        Seq(Double.MaxValue, -3e300, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
+      val (st, ref, scratch) = (new ReproDouble(l), new ReproDouble(l), new RsumBatchD(l))
+      for (c <- chunks) {
+        st.addBatch(c, 0, n, scratch)
+        c.foreach(ref.add)
+        assert(st.bitEquals(ref) && bits(st.value) == bits(ref.value))
+      }
+    }
+
+    test(s"L=$l: ReproFloat.addBatch at len=$at == scalar bitwise, full domain") {
+      val n = FpF.BatchMin + d
+      val chunks = boundaryChunks(new Random(337L * n + l), n, Float.MinPositiveValue.toDouble,
+        Seq(Float.MaxValue.toDouble, -3e37, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
+          .map(_.map(_.toFloat))
+      val (st, ref, scratch) = (new ReproFloat(l), new ReproFloat(l), new RsumBatchF(l))
+      for (c <- chunks) {
+        st.addBatch(c, 0, n, scratch)
+        c.foreach(ref.add)
+        assert(st.bitEquals(ref) && bitsF(st.value) == bitsF(ref.value))
+      }
+    }
+  }
+
+  test("the batched kernel itself == scalar RsumD.add for every length up to BatchMin") {
+    val scratch = new RsumBatchD(2)
+    for (n <- 1 to FpD.BatchMin) {
+      val vals = mixedMagnitudeVals(n, 341 + n)
+      val (s, c) = (new Array[Double](2), new Array[Long](2))
+      val e = scratch.run(vals, 0, n, s, c, 0, RsumD.EMPTY)
+      val (rs, rc) = (new Array[Double](2), new Array[Long](2))
+      val re = vals.foldLeft(RsumD.EMPTY)((e1, v) => RsumD.add(rs, rc, 0, 2, e1, v))
+      assert(bits(RsumD.eval(s, c, 0, 2, e)) == bits(RsumD.eval(rs, rc, 0, 2, re)), s"n=$n")
+    }
+  }
 }
 
 /** Summation buffers must also be bit-identical to the unbuffered paths. */
@@ -180,5 +233,72 @@ class BufferedReproSpec extends AnyFunSuite {
     assert(buf.isEmpty && buf.value == 0.0)
     val back = BufferedReproDouble.deserialize(buf.serialize())
     assert(back.isEmpty)
+  }
+
+  for (bsz <- Seq(1, 15, 16, 17, 100, 1024)) {
+    // at and around each growth step of the pending buffer, and around bsz
+    val counts = (Seq(15, 16, 17, 31, 32, 33, 63, 64, 65) ++ Seq(bsz - 1, bsz, bsz + 1, 2 * bsz + 1))
+      .filter(_ > 0).distinct.sorted
+    test(s"bsz=$bsz: buffered == unbuffered bitwise at counts ${counts.mkString("/")}, serialized while pending") {
+      val vals = mixedMagnitudeVals(counts.last, 351 + bsz)
+      for (n <- counts) {
+        val buf = new BufferedReproDouble(2, bsz)
+        val ref = new ReproDouble(2)
+        vals.take(n).foreach { v => buf.add(v); ref.add(v) }
+        val back = BufferedReproDouble.deserialize(buf.serialize())
+        assert(back.state.bitEquals(ref), s"n=$n: image taken with values pending")
+        assert(bits(buf.value) == bits(ref.value), s"n=$n")
+        buf.flush()
+        assert(buf.state.bitEquals(ref), s"n=$n")
+      }
+    }
+  }
+
+  test("a buffered state holds no kernel and grows its buffer from min(bsz, 16) to bsz") {
+    assert(!classOf[BufferedReproDouble].getDeclaredFields.exists(_.getType == classOf[RsumBatchD]))
+    for (bsz <- Seq(1, 15, 16, 17, 100, 1024)) {
+      val buf = new BufferedReproDouble(2, bsz)
+      assert(buf.pendingCapacity == 0)
+      for (i <- 1 to 2 * bsz + 1) {
+        buf.add(i.toDouble)
+        val pending = i % bsz
+        val cap = buf.pendingCapacity
+        if (i < bsz) assert(cap == math.min(bsz, math.max(16, Integer.highestOneBit(i - 1) << 1)), s"bsz=$bsz, i=$i")
+        assert(cap <= bsz && cap >= pending, s"bsz=$bsz, i=$i")
+      }
+    }
+  }
+
+  test("per-thread kernels: eight threads flush the same multiset to the same bits") {
+    import java.util.concurrent.{Callable, Executors, TimeUnit}
+    val vals = mixedMagnitudeVals(3000, 361)
+    val ref = Seq(2, 3).map(l => l -> { val st = new ReproDouble(l); vals.foreach(st.add); bits(st.value) }).toMap
+    val pool = Executors.newFixedThreadPool(8)
+    try {
+      // states filled, but not flushed, on this thread; flushed on the pool's
+      val handedOver = for (l <- Seq(2, 3); bsz <- Seq(7, 64, 5000)) yield {
+        val b = new BufferedReproDouble(l, bsz); vals.foreach(b.add); b
+      }
+      val tasks = (0 until 64).map { t =>
+        pool.submit(new Callable[Seq[(Int, Long)]] {
+          def call(): Seq[(Int, Long)] = {
+            val own = for (l <- Seq(2, 3); bsz <- Seq(16, 100, 256)) yield {
+              val b = new BufferedReproDouble(l, bsz); vals.foreach(b.add); l -> bits(b.value)
+            }
+            val k = RsumBatchD.forThread(2)
+            assert(k eq RsumBatchD.forThread(2))
+            val other = handedOver(t % handedOver.size)
+            val moved = other.synchronized(other.levels -> bits(other.value))
+            own :+ moved
+          }
+        })
+      }
+      for (f <- tasks; (l, b) <- f.get(60, TimeUnit.SECONDS)) assert(b == ref(l), s"L=$l")
+      val kernels = (0 until 8).map(_ => pool.submit(new Callable[RsumBatchD] {
+        def call(): RsumBatchD = RsumBatchD.forThread(2)
+      }).get)
+      val main = RsumBatchD.forThread(2)
+      assert(kernels.forall(_ ne main))
+    } finally pool.shutdownNow()
   }
 }

@@ -1,12 +1,14 @@
 package repro.spark
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.ObjectHashAggregateExec
 import org.apache.spark.sql.functions._
 import repro.{FullDomain, Oracle, SparkSpec, SynthData}
 import repro.core.ExactSum.bits
 import scala.util.Random
 
-class ReproSumSparkSpec extends SparkSpec {
+class ReproSumSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val init: Unit = ReproFunctions.register(spark)
 
@@ -92,6 +94,19 @@ class ReproSumSparkSpec extends SparkSpec {
     assert(spark.sql("SELECT rsum(v) AS s FROM t").collect()(0).getDouble(0) > 0)
     intercept[Exception] { spark.sql("SELECT rsum(v, 99) FROM t").collect() }
     intercept[Exception] { spark.sql("SELECT rsum() FROM t").collect() }
+    val l2 = spark.sql("SELECT rsum(v, 2) FROM t").collect()(0).getDouble(0)
+    for (ok <- Seq("2Y", "2S", "CAST(2 AS BIGINT)"))
+      assert(bits(spark.sql(s"SELECT rsum(v, $ok) FROM t").collect()(0).getDouble(0)) == bits(l2), ok)
+    // fractional, out of Int range, NULL and string literals are refused,
+    // not truncated, wrapped or cast
+    for (bad <- Seq("2.7D", "4294967298", "NULL", "'2'", "2.0")) {
+      val e = intercept[IllegalArgumentException] { spark.sql(s"SELECT rsum(v, $bad) FROM t").collect() }
+      assert(e.getMessage.contains("rsum levels"), bad)
+      val eb = intercept[IllegalArgumentException] {
+        spark.sql(s"SELECT rsum_buffered(v, 2, $bad) FROM t").collect()
+      }
+      assert(eb.getMessage.contains("rsum buffer size"), bad)
+    }
   }
 
   test("rsum coerces integer and float inputs") {
@@ -187,6 +202,27 @@ class ReproSumSparkSpec extends SparkSpec {
       base.repartition(13).sortWithinPartitions("v"))
     assert(configs.exists(runWith(_) != ref),
       "expected at least one plan variation to change native sum bits")
+    base.unpersist()
+  }
+
+  test("rsum and rsum_buffered bits equal ReproDouble bits past the sort-based fallback (4096 keys)") {
+    init
+    import spark.implicits._
+    val (keys, vals) = FullDomain.doubles(1 << 16, 2501, FullDomain.keys(4096))
+    val ref = FullDomain.reproBits(keys, vals, 2)
+    val base = keys.zip(vals).toSeq.toDF("k", "v").cache()
+    base.count()
+    for (p <- Seq(1, 7); agg <- "rsum(v, 2)" +: Seq(1, 16, 256).map(b => s"rsum_buffered(v, 2, $b)")) {
+      base.repartition(p).createOrReplaceTempView("fb")
+      val df = spark.sql(s"SELECT k, $agg AS s FROM fb GROUP BY k")
+      val got = df.collect().map(r => r.getInt(0) -> bits(r.getDouble(1))).toMap
+      assert(got == ref, s"$agg after repartition($p)")
+      // more keys per task than spark.sql.objectHashAggregate.sortBased.fallbackThreshold
+      val fellBack = collect(df.queryExecution.executedPlan) {
+        case a: ObjectHashAggregateExec => a.metrics("numTasksFallBacked").value
+      }
+      assert(fellBack.exists(_ > 0), s"$agg after repartition($p): no sort-based fallback in $fellBack")
+    }
     base.unpersist()
   }
 
