@@ -45,6 +45,10 @@ class Fig6Bench extends AnyFunSuite {
     println(res.render)
   }
 
+  test("render the scalar/batched crossover behind FpD.BatchMin and FpF.BatchMin") {
+    println(Fig6.crossover().render)
+  }
+
   test("batched RSUM improves monotonically (within noise) with chunk size") {
     val simd = res.rows.map(_.simdSlowdown)
     assert(simd.last <= simd.head,

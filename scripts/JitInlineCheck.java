@@ -1,0 +1,29 @@
+import repro.SynthData;
+import repro.core.ReproDouble;
+import repro.exec.ReproDTable;
+
+/** Drives the scalar repro add path the way the benchmark's paa-narrow
+  * workload does (2^10 groups, L=2, U[1,2) values, the paper's data), hot
+  * enough for C2 to compile it: a ReproDTable aggregate loop and a
+  * ReproDouble.add loop, repeated. See jit-inline-check.sh.
+  */
+public class JitInlineCheck {
+  public static void main(String[] args) {
+    int n = 1 << 16, groups = 1 << 10, levels = 2;
+    int[] keys = SynthData.localUniformKeys(n, groups, 1);
+    double[] vals = SynthData.localUniformValues(n, 2);
+    ReproDTable table = new ReproDTable(2 * groups, levels);
+    int[] outKeys = new int[groups];
+    double[] outVals = new double[groups];
+    double sink = 0;
+    for (int rep = 0; rep < 200; rep++) {
+      table.reset();
+      table.aggregate(keys, vals, 0, n, 0);
+      sink += outVals[table.emit(outKeys, outVals, 0) - 1];
+      ReproDouble st = new ReproDouble(levels);
+      for (int i = 0; i < n; i++) st.add(vals[i]);
+      sink += st.value();
+    }
+    System.out.println("checksum " + sink);
+  }
+}

@@ -13,35 +13,39 @@ package repro.core
   * `BatchMin` is the shortest chunk the batched kernel takes: below it the
   * per-call lane set-up and horizontal merge cost more than the scalar
   * path saves (Fig. 6 crossover, EXPERIMENTS.md).
+  *
+  * Every parameter is a literal `final val` without a type annotation, so
+  * scalac inlines it as a constant and C2 folds it (lane masks, shifts,
+  * block sizes) instead of loading a field of this object.
   */
 object FpD {
-  val M: Int = 52
-  val W: Int = 40
-  val NB: Int = 1 << (M - W - 2) // 1024
-  val V: Int = 4
-  val BatchMin: Int = 12
+  final val M = 52
+  final val W = 40
+  final val NB = 1024 // 1 << (M - W - 2)
+  final val V = 4
+  final val BatchMin = 8
 
   /** Lowest admissible level-1 extractor exponent (a multiple of W so the
     * global exponent grid stays aligned across independently built states).
     */
-  val E1MIN: Int = -960
+  final val E1MIN = -960
 
   /** Clamp for any level exponent: keeps `0.25 * ufp = 2^(e-2)` a normal
     * double. Levels pushed below this are frozen at ELMIN (they then only
     * capture what is representable at that grid; deterministic).
     */
-  val ELMIN: Int = -1000
+  final val ELMIN = -1000
 }
 
 /** IEEE-754 binary32 parameters, mirroring [[FpD]] (paper uses W=18 for
   * single precision).
   */
 object FpF {
-  val M: Int = 23
-  val W: Int = 18
-  val NB: Int = 1 << (M - W - 2) // 8
-  val V: Int = 8
-  val BatchMin: Int = 16
-  val E1MIN: Int = -108
-  val ELMIN: Int = -120
+  final val M = 23
+  final val W = 18
+  final val NB = 8 // 1 << (M - W - 2)
+  final val V = 8
+  final val BatchMin = 8
+  final val E1MIN = -108
+  final val ELMIN = -120
 }

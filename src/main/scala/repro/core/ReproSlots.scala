@@ -58,19 +58,16 @@ final class ReproSlotsD(val n: Int, val levels: Int) extends Serializable {
 
   /** Add `values(from until from+len)` to slot `i` through the batched
     * kernel; the state is bit-identical to adding the values one by one.
-    * A batch shorter than [[FpD.BatchMin]], or holding a huge or non-finite
-    * value, is routed per value.
+    * A batch shorter than [[FpD.BatchMin]], or one the kernel refuses
+    * because it holds a huge or non-finite value, is routed per value.
     */
   def addBatch(i: Int, values: Array[Double], from: Int, len: Int, scratch: RsumBatchD): Unit = {
     require(scratch.levels == levels, "scratch lane width mismatch")
-    val end = from + len
-    var j = from
-    // !(a < T) catches huge, ±Inf and NaN in one test
-    if (len >= FpD.BatchMin) while (j < end && Math.abs(values(j)) < ReproDouble.HugeThreshold) j += 1
-    if (j == end) e1(i) = scratch.run(values, from, len, s, c, i * levels, e1(i))
+    val e = if (len >= FpD.BatchMin) scratch.run(values, from, len, s, c, i * levels, e1(i)) else RsumBatchD.OutOfRange
+    if (e != RsumBatchD.OutOfRange) e1(i) = e
     else {
-      j = from
-      while (j < end) { add(i, values(j)); j += 1 }
+      var j = from
+      while (j < from + len) { add(i, values(j)); j += 1 }
     }
   }
 
@@ -160,13 +157,11 @@ final class ReproSlotsF(val n: Int, val levels: Int) extends Serializable {
 
   def addBatch(i: Int, values: Array[Float], from: Int, len: Int, scratch: RsumBatchF): Unit = {
     require(scratch.levels == levels, "scratch lane width mismatch")
-    val end = from + len
-    var j = from
-    if (len >= FpF.BatchMin) while (j < end && Math.abs(values(j)) < ReproFloat.HugeThreshold) j += 1
-    if (j == end) e1(i) = scratch.run(values, from, len, s, c, i * levels, e1(i))
+    val e = if (len >= FpF.BatchMin) scratch.run(values, from, len, s, c, i * levels, e1(i)) else RsumBatchF.OutOfRange
+    if (e != RsumBatchF.OutOfRange) e1(i) = e
     else {
-      j = from
-      while (j < end) { add(i, values(j)); j += 1 }
+      var j = from
+      while (j < from + len) { add(i, values(j)); j += 1 }
     }
   }
 

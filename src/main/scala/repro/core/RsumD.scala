@@ -177,6 +177,14 @@ object RsumD {
   * (Eqs. 2-3). One instance holds the lane scratch so hot loops do not
   * allocate; not thread-safe — use one instance per thread.
   *
+  * As in Alg. 3, where the lanes are vector registers, a level's V lane
+  * sums live in locals for a whole block of `V * NB` values and go back to
+  * the lane scratch once per block. Level 0 reads the caller's values;
+  * only a level that feeds another writes its remainders to `rbuf`. One
+  * range scan per block finds the max that fixes the frame and refuses the
+  * call ([[RsumBatchD.OutOfRange]]) on any value the RSUM state cannot
+  * take, before the caller's state is written.
+  *
   * The resulting state is bit-identical to feeding the same values through
   * [[RsumD.add]] one by one (both capture the identical exact content and
   * leave the state in canonical form).
@@ -185,58 +193,114 @@ final class RsumBatchD(val levels: Int) {
   import FpD._
   import RsumD._
 
+  // Lane l*V+v holds lane v of level l. Carries need no lanes, as the
+  // horizontal merge only sums them: lc(l) is level l's carry count.
   private val ls = new Array[Double](levels * V)
-  private val lc = new Array[Long](levels * V)
+  private val lc = new Array[Long](levels)
+  // Per-block fixed extractors (see RsumD.add: fixed extractors keep
+  // tie-breaking order-independent), i.e. the levels' nominal sums.
+  private val ext = new Array[Double](levels)
+  // Remainders of one block between levels; the last level keeps none.
+  private val rbuf = new Array[Double](if (levels > 1) V * NB else 0)
 
-  private def initLane(v: Int, e1: Int): Unit = {
-    var l = 0
-    while (l < levels) { ls(l * V + v) = nominal(e1, l); lc(l * V + v) = 0L; l += 1 }
+  /** Lanes `v0 until V` of level `l` nominal. */
+  private def initLevel(l: Int, v0: Int, e1: Int): Unit = {
+    val nom = nominal(e1, l)
+    var v = v0
+    while (v < V) { ls(l * V + v) = nom; v += 1 }
+    ext(l) = nom
   }
 
   private def demoteLanes(e1Old: Int, e1New: Int): Unit = {
     val k = (e1New - e1Old) / W
-    var v = 0
-    while (v < V) {
-      var l = levels - 1
-      while (l >= 0) {
-        if (l >= k) { ls(l * V + v) = ls((l - k) * V + v); lc(l * V + v) = lc((l - k) * V + v) }
-        else { ls(l * V + v) = nominal(e1New, l); lc(l * V + v) = 0L }
-        l -= 1
-      }
-      v += 1
+    var l = levels - 1
+    while (l >= 0) {
+      if (l >= k) {
+        System.arraycopy(ls, (l - k) * V, ls, l * V, V)
+        lc(l) = lc(l - k)
+        ext(l) = nominal(e1New, l)
+      } else { initLevel(l, 0, e1New); lc(l) = 0L }
+      l -= 1
     }
   }
 
+  /** Alg. 3 line 7, between blocks: move whole multiples of `0.25 * ufp`
+    * out of every lane that left the `[1.5, 1.75) * ufp` band. `4 / ufp =
+    * 2^(2-e)` is a normal double for every level exponent e in [ELMIN,
+    * 1000] (the range scan refuses values of 2^987 and above), so
+    * multiplying by it gives the exact quotient.
+    */
   private def propagateLanes(e1: Int): Unit = {
     var l = 0
     while (l < levels) {
-      val ufp     = pow2(eOf(e1, l))
-      val quarter = 0.25 * ufp
-      var v = 0
-      while (v < V) {
-        val idx = l * V + v
-        val dev = ls(idx) - 1.5 * ufp
-        val d   = Math.floor(dev / quarter)
-        if (d != 0.0) { ls(idx) -= d * quarter; lc(idx) += d.toLong }
+      val e       = eOf(e1, l)
+      val quarter = pow2(e - 2)
+      val inv     = pow2(2 - e)
+      var v = l * V
+      while (v < (l + 1) * V) {
+        val dev = ls(v) - ext(l)
+        if (!(dev >= 0.0 && dev < quarter)) {
+          val d = Math.floor(dev * inv)
+          ls(v) -= d * quarter
+          lc(l) += d.toLong
+        }
         v += 1
       }
       l += 1
     }
   }
 
-  // Per-block fixed extractors (see RsumD.add: fixed extractors keep
-  // tie-breaking order-independent); refreshed whenever the frame changes.
-  private val ext = new Array[Double](levels)
-  // Remainder scratch for the level-major extraction passes.
-  private val rbuf = new Array[Double](V * NB)
-
-  private def refreshExtractors(e1: Int): Unit = {
-    var l = 0
-    while (l < levels) { ext(l) = nominal(e1, l); l += 1 }
+  /** Level-major, lane-striped extraction of one block (Alg. 3 lines 5-6):
+    * value `t` of the block, read at `src(from + t)`, feeds lane `t mod V`
+    * of level `l` and leaves its remainder in `rbuf(t)` for level `l + 1`.
+    * Since every per-level operation is exact and the extractors are
+    * fixed, the state is that of the value-major formulation, bit for bit.
+    */
+  private def extract(src: Array[Double], from: Int, m: Int, l: Int): Unit = {
+    val a    = ext(l)
+    val base = l * V
+    var s0 = ls(base); var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
+    var t = 0
+    while (t < (m & -V)) {
+      val p = from + t
+      val r0 = src(p);     val q0 = (r0 + a) - a; rbuf(t) = r0 - q0;     s0 += q0
+      val r1 = src(p + 1); val q1 = (r1 + a) - a; rbuf(t + 1) = r1 - q1; s1 += q1
+      val r2 = src(p + 2); val q2 = (r2 + a) - a; rbuf(t + 2) = r2 - q2; s2 += q2
+      val r3 = src(p + 3); val q3 = (r3 + a) - a; rbuf(t + 3) = r3 - q3; s3 += q3
+      t += V
+    }
+    ls(base) = s0; ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
+    while (t < m) {
+      val r = src(from + t)
+      val q = (r + a) - a
+      rbuf(t) = r - q
+      ls(base + (t & (V - 1))) += q
+      t += 1
+    }
   }
 
-  /** Add `values(from until from+len)` (all finite) to the normalized state
-    * in `s`/`c` at `off`; returns the new `e1`.
+  /** [[extract]] for the last level, whose remainders are dropped. */
+  private def extractLast(src: Array[Double], from: Int, m: Int, l: Int): Unit = {
+    val a    = ext(l)
+    val base = l * V
+    var s0 = ls(base); var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
+    var t = 0
+    while (t < (m & -V)) {
+      val p = from + t
+      s0 += (src(p) + a) - a
+      s1 += (src(p + 1) + a) - a
+      s2 += (src(p + 2) + a) - a
+      s3 += (src(p + 3) + a) - a
+      t += V
+    }
+    ls(base) = s0; ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
+    while (t < m) { ls(base + (t & (V - 1))) += (src(from + t) + a) - a; t += 1 }
+  }
+
+  /** Add `values(from until from+len)` to the normalized state in `s`/`c`
+    * at `off`; returns the new `e1`. If any of the values is huge
+    * (|b| >= [[ReproDouble.HugeThreshold]]), ±Inf or NaN, returns
+    * [[RsumBatchD.OutOfRange]] instead and leaves `s`/`c` untouched.
     */
   def run(values: Array[Double], from: Int, len: Int,
           s: Array[Double], c: Array[Long], off: Int, e1In: Int): Int = {
@@ -246,74 +310,60 @@ final class RsumBatchD(val levels: Int) {
     // Load state into lane 0, nominals elsewhere (Alg. 3 lines 1-2).
     if (e1 != EMPTY) {
       var l = 0
-      while (l < levels) { ls(l * V) = s(off + l); lc(l * V) = c(off + l); l += 1 }
-      var v = 1
-      while (v < V) { initLane(v, e1); v += 1 }
-      refreshExtractors(e1)
+      while (l < levels) { ls(l * V) = s(off + l); lc(l) = c(off + l); initLevel(l, 1, e1); l += 1 }
     }
 
     val end = from + len
     var i   = from
     while (i < end) {
-      val blockEnd = math.min(i + V * NB, end)
-      val m = blockEnd - i
-      // Copy the block into the remainder scratch, fusing the per-block
-      // extractor-validity check on the block max (Alg. 3 line 4).
-      var mx = 0.0
-      var j  = 0
-      while (j < m) {
-        val b = values(i + j)
-        rbuf(j) = b
-        val a = Math.abs(b)
-        if (a > mx) mx = a
+      val m = math.min(V * NB, end - i)
+      if (i > from && e1 != EMPTY) propagateLanes(e1)
+      // The range scan (Alg. 3 line 4). The bits of a non-negative double
+      // order like its value, with +Inf above every finite value and NaN
+      // above +Inf: the largest |b| bits give the block max, and a huge,
+      // infinite or NaN value, if there is one, at one compare per block.
+      var mx = 0L
+      var j  = i
+      while (j < i + m) {
+        mx = Math.max(mx, java.lang.Double.doubleToRawLongBits(values(j)) & Long.MaxValue)
         j += 1
       }
-      if (mx > 0.0) {
-        val req = requiredE1(mx)
+      if (mx >= RsumBatchD.HugeBits) return RsumBatchD.OutOfRange
+      if (mx != 0L) {
+        val req = requiredE1(java.lang.Double.longBitsToDouble(mx))
         if (e1 == EMPTY) {
           e1 = req
-          var v = 0
-          while (v < V) { initLane(v, e1); v += 1 }
-          refreshExtractors(e1)
-        } else if (req > e1) { demoteLanes(e1, req); e1 = req; refreshExtractors(e1) }
+          var l = 0
+          while (l < levels) { initLevel(l, 0, e1); lc(l) = 0L; l += 1 }
+        } else if (req > e1) { demoteLanes(e1, req); e1 = req }
 
-        // Level-major, lane-striped extraction (Alg. 3 lines 5-6). Value t
-        // feeds lane (t mod V) at every level, exactly as in the
-        // value-major formulation; since each per-level operation is exact
-        // and extractors are fixed, the resulting state is bit-identical.
-        var l = 0
-        while (l < levels) {
-          val a    = ext(l)
-          val base = l * V
-          var t = 0
-          while (t < m) {
-            val r = rbuf(t)
-            val q = (r + a) - a
-            rbuf(t) = r - q
-            ls(base + (t & (V - 1))) += q
-            t += 1
-          }
-          l += 1
+        if (levels == 1) extractLast(values, i, m, 0)
+        else {
+          extract(values, i, m, 0)
+          var l = 1
+          while (l < levels - 1) { extract(rbuf, 0, m, l); l += 1 }
+          extractLast(rbuf, 0, m, levels - 1)
         }
-
-        propagateLanes(e1) // Alg. 3 line 7
       }
-      i = blockEnd
+      i += m
     }
 
-    // Exact horizontal merge back into the scalar state (Eqs. 2-3).
+    // Exact horizontal merge back into the scalar state (Eqs. 2-3), with
+    // the last block's carry propagation folded in. A block moves a lane by
+    // at most NB * 2^(W-1) ulp = ufp / 8, so a lane's deviation lies in
+    // [-1/8, 3/8] * ufp, and the V = 4 deviations, multiples of ulp(ufp),
+    // sum exactly.
     if (e1 != EMPTY) {
       var l = 0
       while (l < levels) {
-        val ufp     = pow2(eOf(e1, l))
-        val quarter = 0.25 * ufp
-        var devTot  = 0.0
-        var cTot    = 0L
-        var v = 0
-        while (v < V) { devTot += ls(l * V + v) - 1.5 * ufp; cTot += lc(l * V + v); v += 1 }
-        val k = Math.floor(devTot / quarter) // devTot in [0, V * quarter), all exact
-        s(off + l) = 1.5 * ufp + (devTot - k * quarter)
-        c(off + l) = cTot + k.toLong
+        val e      = eOf(e1, l)
+        val nom    = ext(l)
+        var devTot = 0.0
+        var v = l * V
+        while (v < (l + 1) * V) { devTot += ls(v) - nom; v += 1 }
+        val k = Math.floor(devTot * pow2(2 - e))
+        s(off + l) = nom + (devTot - k * pow2(e - 2))
+        c(off + l) = lc(l) + k.toLong
         l += 1
       }
     }
@@ -322,6 +372,15 @@ final class RsumBatchD(val levels: Int) {
 }
 
 object RsumBatchD {
+  /** What [[RsumBatchD.run]] returns, in place of a frame, for a batch
+    * holding a value the RSUM state cannot take; the caller routes that
+    * batch per value.
+    */
+  final val OutOfRange = Int.MaxValue
+
+  /** Bits of [[ReproDouble.HugeThreshold]]: the smallest `|b|` bits out of range. */
+  private val HugeBits = java.lang.Double.doubleToRawLongBits(ReproDouble.HugeThreshold)
+
   // Indexed by levels (1..16). A kernel holds 32 KiB of scratch, so
   // summation buffers share their thread's kernel instead of owning one.
   private val kernels = ThreadLocal.withInitial(() => new Array[RsumBatchD](17))

@@ -131,62 +131,116 @@ object RsumF {
   }
 }
 
-/** RSUM SIMD for floats — the binary32 mirror of [[RsumBatchD]]. */
+/** RSUM SIMD for floats — the binary32 mirror of [[RsumBatchD]], with
+  * `V = 8` lane sums per level in locals. `4 / ufp = 2^(2-e)` is a normal
+  * float for every level exponent e in [ELMIN, 126].
+  */
 final class RsumBatchF(val levels: Int) {
   import FpF._
   import RsumF._
 
   private val ls = new Array[Float](levels * V)
-  private val lc = new Array[Long](levels * V)
+  private val lc = new Array[Long](levels)
+  private val ext = new Array[Float](levels)
+  private val rbuf = new Array[Float](if (levels > 1) V * NB else 0)
 
-  private def initLane(v: Int, e1: Int): Unit = {
-    var l = 0
-    while (l < levels) { ls(l * V + v) = nominal(e1, l); lc(l * V + v) = 0L; l += 1 }
+  private def initLevel(l: Int, v0: Int, e1: Int): Unit = {
+    val nom = nominal(e1, l)
+    var v = v0
+    while (v < V) { ls(l * V + v) = nom; v += 1 }
+    ext(l) = nom
   }
 
   private def demoteLanes(e1Old: Int, e1New: Int): Unit = {
     val k = (e1New - e1Old) / W
-    var v = 0
-    while (v < V) {
-      var l = levels - 1
-      while (l >= 0) {
-        if (l >= k) { ls(l * V + v) = ls((l - k) * V + v); lc(l * V + v) = lc((l - k) * V + v) }
-        else { ls(l * V + v) = nominal(e1New, l); lc(l * V + v) = 0L }
-        l -= 1
-      }
-      v += 1
+    var l = levels - 1
+    while (l >= 0) {
+      if (l >= k) {
+        System.arraycopy(ls, (l - k) * V, ls, l * V, V)
+        lc(l) = lc(l - k)
+        ext(l) = nominal(e1New, l)
+      } else { initLevel(l, 0, e1New); lc(l) = 0L }
+      l -= 1
     }
   }
 
   private def propagateLanes(e1: Int): Unit = {
     var l = 0
     while (l < levels) {
-      val ufp     = pow2(eOf(e1, l))
-      val quarter = 0.25f * ufp
-      var v = 0
-      while (v < V) {
-        val idx = l * V + v
-        val dev = ls(idx) - 1.5f * ufp
-        val d   = Math.floor((dev / quarter).toDouble)
-        if (d != 0.0) { ls(idx) -= (d * quarter).toFloat; lc(idx) += d.toLong }
+      val e       = eOf(e1, l)
+      val quarter = pow2(e - 2)
+      val inv     = pow2(2 - e)
+      var v = l * V
+      while (v < (l + 1) * V) {
+        val dev = ls(v) - ext(l)
+        if (!(dev >= 0.0f && dev < quarter)) {
+          val d = Math.floor((dev * inv).toDouble)
+          ls(v) -= (d * quarter).toFloat
+          lc(l) += d.toLong
+        }
         v += 1
       }
       l += 1
     }
   }
 
-  // Per-block fixed extractors (see RsumD.add); refreshed on frame changes.
-  private val ext = new Array[Float](levels)
-  // Remainder scratch for the level-major extraction passes.
-  private val rbuf = new Array[Float](V * NB)
-
-  private def refreshExtractors(e1: Int): Unit = {
-    var l = 0
-    while (l < levels) { ext(l) = nominal(e1, l); l += 1 }
+  // lane-striped extraction of one block — see RsumBatchD.extract
+  private def extract(src: Array[Float], from: Int, m: Int, l: Int): Unit = {
+    val a    = ext(l)
+    val base = l * V
+    var s0 = ls(base);     var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
+    var s4 = ls(base + 4); var s5 = ls(base + 5); var s6 = ls(base + 6); var s7 = ls(base + 7)
+    var t = 0
+    while (t < (m & -V)) {
+      val p = from + t
+      val r0 = src(p);     val q0 = (r0 + a) - a; rbuf(t) = r0 - q0;     s0 += q0
+      val r1 = src(p + 1); val q1 = (r1 + a) - a; rbuf(t + 1) = r1 - q1; s1 += q1
+      val r2 = src(p + 2); val q2 = (r2 + a) - a; rbuf(t + 2) = r2 - q2; s2 += q2
+      val r3 = src(p + 3); val q3 = (r3 + a) - a; rbuf(t + 3) = r3 - q3; s3 += q3
+      val r4 = src(p + 4); val q4 = (r4 + a) - a; rbuf(t + 4) = r4 - q4; s4 += q4
+      val r5 = src(p + 5); val q5 = (r5 + a) - a; rbuf(t + 5) = r5 - q5; s5 += q5
+      val r6 = src(p + 6); val q6 = (r6 + a) - a; rbuf(t + 6) = r6 - q6; s6 += q6
+      val r7 = src(p + 7); val q7 = (r7 + a) - a; rbuf(t + 7) = r7 - q7; s7 += q7
+      t += V
+    }
+    ls(base) = s0;     ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
+    ls(base + 4) = s4; ls(base + 5) = s5; ls(base + 6) = s6; ls(base + 7) = s7
+    while (t < m) {
+      val r = src(from + t)
+      val q = (r + a) - a
+      rbuf(t) = r - q
+      ls(base + (t & (V - 1))) += q
+      t += 1
+    }
   }
 
-  /** Add `values(from until from+len)` (all finite) to the normalized state
-    * in `s`/`c` at `off`; returns the new `e1`.
+  private def extractLast(src: Array[Float], from: Int, m: Int, l: Int): Unit = {
+    val a    = ext(l)
+    val base = l * V
+    var s0 = ls(base);     var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
+    var s4 = ls(base + 4); var s5 = ls(base + 5); var s6 = ls(base + 6); var s7 = ls(base + 7)
+    var t = 0
+    while (t < (m & -V)) {
+      val p = from + t
+      s0 += (src(p) + a) - a
+      s1 += (src(p + 1) + a) - a
+      s2 += (src(p + 2) + a) - a
+      s3 += (src(p + 3) + a) - a
+      s4 += (src(p + 4) + a) - a
+      s5 += (src(p + 5) + a) - a
+      s6 += (src(p + 6) + a) - a
+      s7 += (src(p + 7) + a) - a
+      t += V
+    }
+    ls(base) = s0;     ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
+    ls(base + 4) = s4; ls(base + 5) = s5; ls(base + 6) = s6; ls(base + 7) = s7
+    while (t < m) { ls(base + (t & (V - 1))) += (src(from + t) + a) - a; t += 1 }
+  }
+
+  /** Add `values(from until from+len)` to the normalized state in `s`/`c`
+    * at `off`; returns the new `e1`, or [[RsumBatchF.OutOfRange]] with
+    * `s`/`c` untouched if a value is huge (|b| >=
+    * [[ReproFloat.HugeThreshold]]), ±Inf or NaN.
     */
   def run(values: Array[Float], from: Int, len: Int,
           s: Array[Float], c: Array[Long], off: Int, e1In: Int): Int = {
@@ -195,71 +249,65 @@ final class RsumBatchF(val levels: Int) {
 
     if (e1 != EMPTY) {
       var l = 0
-      while (l < levels) { ls(l * V) = s(off + l); lc(l * V) = c(off + l); l += 1 }
-      var v = 1
-      while (v < V) { initLane(v, e1); v += 1 }
-      refreshExtractors(e1)
+      while (l < levels) { ls(l * V) = s(off + l); lc(l) = c(off + l); initLevel(l, 1, e1); l += 1 }
     }
 
     val end = from + len
     var i   = from
     while (i < end) {
-      val blockEnd = math.min(i + V * NB, end)
-      val m = blockEnd - i
-      var mx = 0.0f
-      var j  = 0
-      while (j < m) {
-        val b = values(i + j)
-        rbuf(j) = b
-        val a = Math.abs(b)
-        if (a > mx) mx = a
+      val m = math.min(V * NB, end - i)
+      if (i > from && e1 != EMPTY) propagateLanes(e1)
+      // one range scan on the |b| bits: see RsumBatchD.run
+      var mx = 0
+      var j  = i
+      while (j < i + m) {
+        mx = Math.max(mx, java.lang.Float.floatToRawIntBits(values(j)) & Int.MaxValue)
         j += 1
       }
-      if (mx > 0.0f) {
-        val req = requiredE1(mx)
+      if (mx >= RsumBatchF.HugeBits) return RsumBatchF.OutOfRange
+      if (mx != 0) {
+        val req = requiredE1(java.lang.Float.intBitsToFloat(mx))
         if (e1 == EMPTY) {
           e1 = req
-          var v = 0
-          while (v < V) { initLane(v, e1); v += 1 }
-          refreshExtractors(e1)
-        } else if (req > e1) { demoteLanes(e1, req); e1 = req; refreshExtractors(e1) }
+          var l = 0
+          while (l < levels) { initLevel(l, 0, e1); lc(l) = 0L; l += 1 }
+        } else if (req > e1) { demoteLanes(e1, req); e1 = req }
 
-        // level-major, lane-striped extraction — see RsumBatchD.run
-        var l = 0
-        while (l < levels) {
-          val a    = ext(l)
-          val base = l * V
-          var t = 0
-          while (t < m) {
-            val r = rbuf(t)
-            val q = (r + a) - a
-            rbuf(t) = r - q
-            ls(base + (t & (V - 1))) += q
-            t += 1
-          }
-          l += 1
+        if (levels == 1) extractLast(values, i, m, 0)
+        else {
+          extract(values, i, m, 0)
+          var l = 1
+          while (l < levels - 1) { extract(rbuf, 0, m, l); l += 1 }
+          extractLast(rbuf, 0, m, levels - 1)
         }
-
-        propagateLanes(e1)
       }
-      i = blockEnd
+      i += m
     }
 
+    // Horizontal merge with the last block's propagation folded in, as in
+    // RsumBatchD.run: the V = 8 deviations sum to within [-1, 1.25] * ufp,
+    // 24 bits of multiples of ulp(ufp), exact in float.
     if (e1 != EMPTY) {
       var l = 0
       while (l < levels) {
-        val ufp     = pow2(eOf(e1, l))
-        val quarter = 0.25f * ufp
-        var devTot  = 0.0f
-        var cTot    = 0L
-        var v = 0
-        while (v < V) { devTot += ls(l * V + v) - 1.5f * ufp; cTot += lc(l * V + v); v += 1 }
-        val k = Math.floor((devTot / quarter).toDouble)
-        s(off + l) = 1.5f * ufp + (devTot - (k * quarter).toFloat)
-        c(off + l) = cTot + k.toLong
+        val e      = eOf(e1, l)
+        val nom    = ext(l)
+        var devTot = 0.0f
+        var v = l * V
+        while (v < (l + 1) * V) { devTot += ls(v) - nom; v += 1 }
+        val k = Math.floor((devTot * pow2(2 - e)).toDouble)
+        s(off + l) = nom + (devTot - (k * pow2(e - 2)).toFloat)
+        c(off + l) = lc(l) + k.toLong
         l += 1
       }
     }
     e1
   }
+}
+
+object RsumBatchF {
+  /** See [[RsumBatchD.OutOfRange]]. */
+  final val OutOfRange = Int.MaxValue
+
+  private val HugeBits = java.lang.Float.floatToRawIntBits(ReproFloat.HugeThreshold)
 }

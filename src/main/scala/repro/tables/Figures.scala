@@ -1,7 +1,7 @@
 package repro.tables
 
 import repro.SynthData
-import repro.core.{ReproDouble, RsumBatchD, RsumD}
+import repro.core.{ReproDouble, RsumBatchD, RsumBatchF, RsumD, RsumF}
 import repro.exec.{AggKind, PartitionAndAggregate}
 
 /** Fig. 4 (paper §IV): HASHAGGREGATION at 16 groups with the unbuffered
@@ -118,5 +118,70 @@ object Fig6 {
     val rows = chunks.map(c => Row(c, scalarChunked(c) / convNs, simdChunked(c) / convNs))
     val inf = simdChunked(n) / convNs
     Result(rows, convNs, inf)
+  }
+
+  /** ns/value of the scalar `add` and of the batched kernel `run`, per
+    * chunk length, for each column's precision and L.
+    */
+  final case class Crossover(chunks: Seq[Int], cols: Seq[(String, Int)], ns: Seq[Seq[(Double, Double)]]) {
+    def render: String = {
+      val sb = new StringBuilder
+      sb ++= "Fig. 6 crossover: ns/value, scalar add / batched run\n"
+      sb ++= f"${"chunk c"}%8s" + cols.map { case (p, l) => f" | ${s"$p L=$l"}%13s" }.mkString + "\n"
+      chunks.indices.foreach { i =>
+        sb ++= f"${chunks(i)}%8d" + ns(i).map { case (a, b) => f" | ${f"$a%.1f / $b%.1f"}%13s" }.mkString + "\n"
+      }
+      sb.result()
+    }
+  }
+
+  /** The crossover behind `FpD.BatchMin` and `FpF.BatchMin`: `n`
+    * mixed-magnitude values added chunk by chunk into `states` states taken
+    * round robin, through `RsumD.add`/`RsumF.add` one value at a time and
+    * through `RsumBatchD.run`/`RsumBatchF.run` one chunk at a time; the
+    * median of `reps` after `warmup` passes.
+    */
+  def crossover(chunks: Seq[Int] = Seq(4, 6, 8, 10, 12, 14, 16, 20, 24, 32),
+                levels: Seq[Int] = Seq(2, 4), n: Int = 1 << 18, states: Int = 1024,
+                warmup: Int = 5, reps: Int = 9): Crossover = {
+    import Timing._
+    val vd = SynthData.localMixedValues(n, 602)
+    val vf = SynthData.toFloats(vd)
+
+    def nsD(c: Int, l: Int, batch: Boolean): Double = {
+      val k = new RsumBatchD(l)
+      nsPerElement(n / c * c, warmup, reps) {
+        val (s, cs, e) = (new Array[Double](states * l), new Array[Long](states * l), Array.fill(states)(RsumD.EMPTY))
+        var i = 0; var st = 0
+        while (i + c <= n) {
+          if (batch) e(st) = k.run(vd, i, c, s, cs, st * l, e(st))
+          else { var j = i; while (j < i + c) { e(st) = RsumD.add(s, cs, st * l, l, e(st), vd(j)); j += 1 } }
+          st = (st + 1) % states
+          i += c
+        }
+        RsumD.eval(s, cs, 0, l, e(0))
+      }
+    }
+
+    def nsF(c: Int, l: Int, batch: Boolean): Double = {
+      val k = new RsumBatchF(l)
+      nsPerElement(n / c * c, warmup, reps) {
+        val (s, cs, e) = (new Array[Float](states * l), new Array[Long](states * l), Array.fill(states)(RsumF.EMPTY))
+        var i = 0; var st = 0
+        while (i + c <= n) {
+          if (batch) e(st) = k.run(vf, i, c, s, cs, st * l, e(st))
+          else { var j = i; while (j < i + c) { e(st) = RsumF.add(s, cs, st * l, l, e(st), vf(j)); j += 1 } }
+          st = (st + 1) % states
+          i += c
+        }
+        RsumF.eval(s, cs, 0, l, e(0)).toDouble
+      }
+    }
+
+    val cols = for (p <- Seq("double", "float"); l <- levels) yield (p, l)
+    val ns = chunks.map(c => cols.map { case (p, l) =>
+      if (p == "double") (nsD(c, l, false), nsD(c, l, true)) else (nsF(c, l, false), nsF(c, l, true))
+    })
+    Crossover(chunks, cols, ns)
   }
 }
