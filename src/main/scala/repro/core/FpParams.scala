@@ -14,14 +14,14 @@ package repro.core
   * per-call lane set-up and horizontal merge cost more than the scalar
   * path saves (Fig. 6 crossover, EXPERIMENTS.md).
   *
-  * Every parameter is a literal `final val` without a type annotation, so
-  * scalac inlines it as a constant and C2 folds it (lane masks, shifts,
-  * block sizes) instead of loading a field of this object.
+  * Every parameter is a `final val` of a constant expression without a type
+  * annotation, so scalac inlines it as a constant and C2 folds it (lane
+  * masks, shifts, block sizes) instead of loading a field of this object.
   */
 object FpD {
   final val M = 52
   final val W = 40
-  final val NB = 1024 // 1 << (M - W - 2)
+  final val NB = 1 << (M - W - 2)
   final val V = 4
   final val BatchMin = 8
 
@@ -43,7 +43,7 @@ object FpD {
 object FpF {
   final val M = 23
   final val W = 18
-  final val NB = 8 // 1 << (M - W - 2)
+  final val NB = 1 << (M - W - 2)
   final val V = 8
   final val BatchMin = 8
   final val E1MIN = -108

@@ -179,8 +179,8 @@ object RsumD {
   *
   * As in Alg. 3, where the lanes are vector registers, a level's V lane
   * sums live in locals for a whole block of `V * NB` values and go back to
-  * the lane scratch once per block. Level 0 reads the caller's values;
-  * only a level that feeds another writes its remainders to `rbuf`. One
+  * the lane scratch once per block. Level 0 reads the caller's values, and
+  * each level leaves its remainders in `rbuf` for the next (no copy pass). One
   * range scan per block finds the max that fixes the frame and refuses the
   * call ([[RsumBatchD.OutOfRange]]) on any value the RSUM state cannot
   * take, before the caller's state is written.
@@ -200,8 +200,8 @@ final class RsumBatchD(val levels: Int) {
   // Per-block fixed extractors (see RsumD.add: fixed extractors keep
   // tie-breaking order-independent), i.e. the levels' nominal sums.
   private val ext = new Array[Double](levels)
-  // Remainders of one block between levels; the last level keeps none.
-  private val rbuf = new Array[Double](if (levels > 1) V * NB else 0)
+  // Remainders of one block, the input of the next level.
+  private val rbuf = new Array[Double](V * NB)
 
   /** Lanes `v0 until V` of level `l` nominal. */
   private def initLevel(l: Int, v0: Int, e1: Int): Unit = {
@@ -279,24 +279,6 @@ final class RsumBatchD(val levels: Int) {
     }
   }
 
-  /** [[extract]] for the last level, whose remainders are dropped. */
-  private def extractLast(src: Array[Double], from: Int, m: Int, l: Int): Unit = {
-    val a    = ext(l)
-    val base = l * V
-    var s0 = ls(base); var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
-    var t = 0
-    while (t < (m & -V)) {
-      val p = from + t
-      s0 += (src(p) + a) - a
-      s1 += (src(p + 1) + a) - a
-      s2 += (src(p + 2) + a) - a
-      s3 += (src(p + 3) + a) - a
-      t += V
-    }
-    ls(base) = s0; ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
-    while (t < m) { ls(base + (t & (V - 1))) += (src(from + t) + a) - a; t += 1 }
-  }
-
   /** Add `values(from until from+len)` to the normalized state in `s`/`c`
     * at `off`; returns the new `e1`. If any of the values is huge
     * (|b| >= [[ReproDouble.HugeThreshold]]), ±Inf or NaN, returns
@@ -337,13 +319,9 @@ final class RsumBatchD(val levels: Int) {
           while (l < levels) { initLevel(l, 0, e1); lc(l) = 0L; l += 1 }
         } else if (req > e1) { demoteLanes(e1, req); e1 = req }
 
-        if (levels == 1) extractLast(values, i, m, 0)
-        else {
-          extract(values, i, m, 0)
-          var l = 1
-          while (l < levels - 1) { extract(rbuf, 0, m, l); l += 1 }
-          extractLast(rbuf, 0, m, levels - 1)
-        }
+        extract(values, i, m, 0)
+        var l = 1
+        while (l < levels) { extract(rbuf, 0, m, l); l += 1 }
       }
       i += m
     }

@@ -142,7 +142,7 @@ final class RsumBatchF(val levels: Int) {
   private val ls = new Array[Float](levels * V)
   private val lc = new Array[Long](levels)
   private val ext = new Array[Float](levels)
-  private val rbuf = new Array[Float](if (levels > 1) V * NB else 0)
+  private val rbuf = new Array[Float](V * NB)
 
   private def initLevel(l: Int, v0: Int, e1: Int): Unit = {
     val nom = nominal(e1, l)
@@ -214,29 +214,6 @@ final class RsumBatchF(val levels: Int) {
     }
   }
 
-  private def extractLast(src: Array[Float], from: Int, m: Int, l: Int): Unit = {
-    val a    = ext(l)
-    val base = l * V
-    var s0 = ls(base);     var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
-    var s4 = ls(base + 4); var s5 = ls(base + 5); var s6 = ls(base + 6); var s7 = ls(base + 7)
-    var t = 0
-    while (t < (m & -V)) {
-      val p = from + t
-      s0 += (src(p) + a) - a
-      s1 += (src(p + 1) + a) - a
-      s2 += (src(p + 2) + a) - a
-      s3 += (src(p + 3) + a) - a
-      s4 += (src(p + 4) + a) - a
-      s5 += (src(p + 5) + a) - a
-      s6 += (src(p + 6) + a) - a
-      s7 += (src(p + 7) + a) - a
-      t += V
-    }
-    ls(base) = s0;     ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
-    ls(base + 4) = s4; ls(base + 5) = s5; ls(base + 6) = s6; ls(base + 7) = s7
-    while (t < m) { ls(base + (t & (V - 1))) += (src(from + t) + a) - a; t += 1 }
-  }
-
   /** Add `values(from until from+len)` to the normalized state in `s`/`c`
     * at `off`; returns the new `e1`, or [[RsumBatchF.OutOfRange]] with
     * `s`/`c` untouched if a value is huge (|b| >=
@@ -273,30 +250,28 @@ final class RsumBatchF(val levels: Int) {
           while (l < levels) { initLevel(l, 0, e1); lc(l) = 0L; l += 1 }
         } else if (req > e1) { demoteLanes(e1, req); e1 = req }
 
-        if (levels == 1) extractLast(values, i, m, 0)
-        else {
-          extract(values, i, m, 0)
-          var l = 1
-          while (l < levels - 1) { extract(rbuf, 0, m, l); l += 1 }
-          extractLast(rbuf, 0, m, levels - 1)
-        }
+        extract(values, i, m, 0)
+        var l = 1
+        while (l < levels) { extract(rbuf, 0, m, l); l += 1 }
       }
       i += m
     }
 
     // Horizontal merge with the last block's propagation folded in, as in
-    // RsumBatchD.run: the V = 8 deviations sum to within [-1, 1.25] * ufp,
-    // 24 bits of multiples of ulp(ufp), exact in float.
+    // RsumBatchD.run. A lane's deviation lies in [-1/8, 3/8) * ufp, so the
+    // V = 8 deviations sum to within [-1, 3) * ufp: multiples of ulp(ufp)
+    // that need up to 25 bits, so they are summed in double. The level's
+    // new sum lies in [1.5, 1.75) * ufp and narrows to float exactly.
     if (e1 != EMPTY) {
       var l = 0
       while (l < levels) {
         val e      = eOf(e1, l)
         val nom    = ext(l)
-        var devTot = 0.0f
+        var devTot = 0.0
         var v = l * V
         while (v < (l + 1) * V) { devTot += ls(v) - nom; v += 1 }
-        val k = Math.floor((devTot * pow2(2 - e)).toDouble)
-        s(off + l) = nom + (devTot - (k * pow2(e - 2)).toFloat)
+        val k = Math.floor(devTot * RsumD.pow2(2 - e))
+        s(off + l) = (nom + (devTot - k * RsumD.pow2(e - 2))).toFloat
         c(off + l) = lc(l) + k.toLong
         l += 1
       }

@@ -54,11 +54,6 @@ class RsumKernelSpec extends AnyFunSuite {
     Seq(empty, scalarF(l, empty, mixedMagnitudeVals(3, 402).map(v => (v * 1e-12).toFloat)))
   }
 
-  test("FpD/FpF tile sizes are 2^(M-W-2)") {
-    assert(FpD.NB == 1 << (FpD.M - FpD.W - 2))
-    assert(FpF.NB == 1 << (FpF.M - FpF.W - 2))
-  }
-
   for (l <- 1 to 4) {
     val top = 2 * FpF.V * FpF.NB + 1
     test(s"L=$l: RsumBatchF.run == scalar RsumF.add at every length 1..$top") {
@@ -78,6 +73,32 @@ class RsumKernelSpec extends AnyFunSuite {
         val vals = mixedMagnitudeVals(n, 421 + n).map(_ * 1e-6)
         if (late) vals(n - 1) = math.pow(2.0, 45)
         assert(sameD(batchD(k, start, vals), scalarD(l, start, vals)), s"n=$n, late=$late, e1=${start._3}")
+      }
+    }
+  }
+
+  // Same-sign values just below the frame's limit move every lane by up to
+  // ufp / 8 per block, the most the frame admits, so the lane sums the
+  // horizontal merge adds span the widest range. A tight frame: [2048, 4096)
+  // floats and [2^26, 2^27) doubles each need e1 = W exactly.
+  for (l <- 1 to 4) {
+    val nf = FpF.V * FpF.NB
+    test(s"L=$l: RsumBatchF.run == scalar RsumF.add on same-sign values of a tight frame, ${2 * nf}..${8 * nf} values") {
+      val k = new RsumBatchF(l)
+      val rnd = new scala.util.Random(441 + l)
+      for (n <- 2 * nf to 8 * nf; start <- startsF(l); sign <- Seq(1f, -1f)) {
+        val vals = Array.fill(n)(sign * (2048f + 2048f * rnd.nextFloat()))
+        assert(sameF(batchF(k, start, vals), scalarF(l, start, vals)), s"n=$n, sign=$sign, e1=${start._3}")
+      }
+    }
+
+    val nd = FpD.V * FpD.NB
+    test(s"L=$l: RsumBatchD.run == scalar RsumD.add on same-sign values of a tight frame") {
+      val k = new RsumBatchD(l)
+      val rnd = new scala.util.Random(451 + l)
+      for (n <- Seq(2 * nd, 3 * nd + 1, 4 * nd - 1, 8 * nd); start <- startsD(l); sign <- Seq(1.0, -1.0)) {
+        val vals = Array.fill(n)(sign * math.scalb(1.0 + rnd.nextDouble(), 26))
+        assert(sameD(batchD(k, start, vals), scalarD(l, start, vals)), s"n=$n, sign=$sign, e1=${start._3}")
       }
     }
   }
