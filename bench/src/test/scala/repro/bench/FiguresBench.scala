@@ -45,7 +45,7 @@ class Fig6Bench extends AnyFunSuite {
     println(res.render)
   }
 
-  test("render the scalar/batched crossover behind FpD.BatchMin and FpF.BatchMin") {
+  test("render the scalar/batched crossover behind FpD.BatchMin") {
     println(Fig6.crossover().render)
   }
 

@@ -1,18 +1,25 @@
 import repro.SynthData;
 import repro.core.ReproDouble;
 import repro.exec.ReproDTable;
+import repro.exec.ReproFTable;
 
-/** Drives the scalar repro add path the way the benchmark's paa-narrow
-  * workload does (2^10 groups, L=2, U[1,2) values, the paper's data), hot
-  * enough for C2 to compile it: a ReproDTable aggregate loop and a
-  * ReproDouble.add loop, repeated. See jit-inline-check.sh.
+/** Drives the scalar repro add path hot enough for C2 to compile it, as the
+  * benchmark's paa-narrow workload does (2^10 groups, L=2): a ReproDTable
+  * aggregate loop and a ReproDouble.add loop on U[1,2) values (the paper's
+  * data), a ReproDTable loop on values spanning 2^-20..2^20, whose groups
+  * change frame often, and a ReproFTable loop on the same values as floats.
+  * See jit-inline-check.sh.
   */
 public class JitInlineCheck {
   public static void main(String[] args) {
     int n = 1 << 16, groups = 1 << 10, levels = 2;
     int[] keys = SynthData.localUniformKeys(n, groups, 1);
     double[] vals = SynthData.localUniformValues(n, 2);
+    double[] mixed = SynthData.localMixedValues(n, 3, 20);
+    float[] mixedF = SynthData.toFloats(mixed);
     ReproDTable table = new ReproDTable(2 * groups, levels);
+    ReproDTable mixedTable = new ReproDTable(2 * groups, levels);
+    ReproFTable floatTable = new ReproFTable(2 * groups, levels);
     int[] outKeys = new int[groups];
     double[] outVals = new double[groups];
     double sink = 0;
@@ -20,6 +27,12 @@ public class JitInlineCheck {
       table.reset();
       table.aggregate(keys, vals, 0, n, 0);
       sink += outVals[table.emit(outKeys, outVals, 0) - 1];
+      mixedTable.reset();
+      mixedTable.aggregate(keys, mixed, 0, n, 0);
+      sink += outVals[mixedTable.emit(outKeys, outVals, 0) - 1];
+      floatTable.reset();
+      floatTable.aggregate(keys, mixedF, 0, n, 0);
+      sink += outVals[floatTable.emit(outKeys, outVals, 0) - 1];
       ReproDouble st = new ReproDouble(levels);
       for (int i = 0; i < n; i++) st.add(vals[i]);
       sink += st.value();

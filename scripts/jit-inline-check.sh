@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Checks that C2 inlines the scalar repro add path (ReproSlotsD.add and
-# RsumD.add) into its callers. C2 does not inline a method whose compiled
+# Checks that C2 inlines the scalar repro add path (ReproSlotsD.add,
+# ReproSlotsF.add and RsumD.add) into its callers. C2 does not inline a method whose compiled
 # code is already larger than InlineSmallCode (2500 bytes on JDK 17); the
 # caller then makes a real call per value. Run from anywhere:
 #
 #   scripts/jit-inline-check.sh
 #
 # Builds the main sources with perfbench/build.py, runs JitInlineCheck.java
-# (a ReproDTable loop and a ReproDouble.add loop) with -XX:+PrintInlining on
-# the benchmark's heap and collector, prints every inlining decision about
-# the two methods, and exits 1 if any of them reads "already compiled into
-# a big method" or "hot method too big".
+# (ReproDTable loops on U[1,2) and on mixed-magnitude values, a ReproFTable
+# loop and a ReproDouble.add loop) with -XX:+PrintInlining on the
+# benchmark's heap and collector, prints every inlining decision about the
+# three methods, and exits 1 if any of them reads "already compiled into a
+# big method" or "hot method too big".
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -25,7 +26,7 @@ java -Xms1g -Xmx1g -XX:+UseParallelGC -XX:-UsePerfData \
   -XX:+UnlockDiagnosticVMOptions -XX:+PrintInlining \
   -cp "$out:$classes:$jars/*" JitInlineCheck > "$log"
 
-pattern='(repro\.core\.ReproSlotsD::add|repro\.core\.RsumD\$::add) \('
+pattern='(repro\.core\.ReproSlots[DF]::add|repro\.core\.RsumD\$::add) \('
 grep -E "$pattern" "$log" | sed -E 's/^ +//' | sort | uniq -c
 if grep -E "$pattern" "$log" | grep -qE 'already compiled into a big method|hot method too big'; then
   echo "jit-inline-check: FAIL (the scalar add path is not inlined; see $log)"

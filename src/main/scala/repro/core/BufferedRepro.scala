@@ -71,10 +71,10 @@ final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializa
     */
   private[repro] def image(header: Int): ByteBuffer = {
     flush()
-    val bb = ByteBuffer.allocate(header + 8 + ReproDouble.imageSize(state.slots))
+    val bb = ByteBuffer.allocate(header + 8 + state.slots.imageSize)
     bb.position(header)
     bb.putInt(levels).putInt(bsz)
-    ReproDouble.write(state.slots, bb)
+    state.slots.write(bb)
     bb
   }
 }
@@ -88,7 +88,7 @@ object BufferedReproDouble {
   private[repro] def read(bb: ByteBuffer): BufferedReproDouble = {
     val levels = bb.getInt
     val out = new BufferedReproDouble(levels, bb.getInt)
-    ReproDouble.read(bb, out.state.slots)
+    out.state.slots.read(bb)
     out
   }
 }

@@ -1,15 +1,21 @@
 package repro.core
 
-/** IEEE-754 binary64 parameters for the RSUM algorithm (paper §III, Table I).
+/** IEEE-754 binary64 grid for the RSUM algorithm (paper §III, Table I), and
+  * the constants of the one batched kernel.
   *
   * `M` is the number of explicit mantissa bits, so `ulp(x) = 2^(E-M)` for
   * `x = 1.f * 2^E`. `W` is the log2 ratio between two consecutive extractors
-  * (the paper's recommended value for double precision). `NB` is the tile
-  * size between carry-bit propagations in the batched kernel; the per-value
-  * drift of a running sum is at most `2^(W-1) * ulp(S)` and the band
-  * `[1.5, 1.75) * ufp` has `0.25 * ufp` of headroom before the exponent
-  * could change, so any `NB <= 2^(M-W-1)` is safe — we use `2^(M-W-2)` for
-  * margin. `V` is the lane count of the batched ("SIMD") kernel.
+  * (the paper's recommended value for double precision). `E1MIN`/`ELMIN`
+  * bound the frame and the level exponents. These four are the grid:
+  * [[RsumD]] takes them as arguments, and [[FpF]] gives float's.
+  *
+  * `V` is the lane count of the batched ("SIMD") kernel [[RsumBatchD]] and
+  * `NB` its tile size between carry-bit propagations, for both grids. The
+  * per-value drift of a lane is at most `2^(W-1)` grid steps; on double's
+  * grid the band `[1.5, 1.75) * ufp` has `0.25 * ufp` of headroom before
+  * the lane's exponent could change, so any `NB <= 2^(M-W-1)` is safe — we
+  * use `2^(M-W-2)` for margin. On float's grid a lane held in a double has
+  * 29 spare bits, so the same tile is safe by far.
   * `BatchMin` is the shortest chunk the batched kernel takes: below it the
   * per-call lane set-up and horizontal merge cost more than the scalar
   * path saves (Fig. 6 crossover, EXPERIMENTS.md).
@@ -37,15 +43,12 @@ object FpD {
   final val ELMIN = -1000
 }
 
-/** IEEE-754 binary32 parameters, mirroring [[FpD]] (paper uses W=18 for
-  * single precision).
+/** IEEE-754 binary32 grid, mirroring [[FpD]]'s (the paper uses W=18 for
+  * single precision). `ELMIN` keeps `0.25 * ufp` a normal float.
   */
 object FpF {
   final val M = 23
   final val W = 18
-  final val NB = 1 << (M - W - 2)
-  final val V = 8
-  final val BatchMin = 8
   final val E1MIN = -108
   final val ELMIN = -120
 }

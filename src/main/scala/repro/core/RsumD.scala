@@ -1,6 +1,6 @@
 package repro.core
 
-/** RSUM kernel for `double` (paper §III, Algorithms 2 and 3).
+/** RSUM kernel (paper §III, Algorithms 2 and 3) for both precisions.
   *
   * A summation state is `L` levels of `(running sum S^(l), carry count
   * C^(l))` plus the level-1 extractor exponent `e1` (`ufp(S^(1)) = 2^e1`).
@@ -9,8 +9,21 @@ package repro.core
   * hold thousands of states without boxing; `e1` travels separately (an
   * `Int` per state, [[RsumD.EMPTY]] when no finite nonzero value was seen).
   *
+  * The algorithm's only precision-dependent inputs are the grid parameters
+  * `(M, W, E1MIN, ELMIN)` of [[FpD]] or [[FpF]], which these functions take
+  * as arguments. The entry points ([[ReproSlotsD]], [[ReproSlotsF]],
+  * [[RsumBatchD.run]]) pass them as literal constants, so C2 folds them once
+  * it has inlined the function. The arithmetic is double on both grids. On
+  * float's grid the state (running sums narrowed to float, carries, `e1`)
+  * is binary32 RSUM's, bit for bit: level `l`'s extractor becomes
+  * `1.5 * 2^(e+29)`, whose ulp is float's grid step `2^(e-23)`, so both
+  * round a value to the same grid with an extractor that is an even
+  * multiple of the step, round-half-even picks the same `q`, and every
+  * other step is exact in both. The running sums stay on float's grid and
+  * narrow to float exactly.
+  *
   * Invariants maintained by every public operation ("normalized" state):
-  *   - `e1` is a multiple of [[FpD.W]] on the fixed global grid (or EMPTY),
+  *   - `e1` is a multiple of `W` on the fixed global grid (or EMPTY),
   *     chosen as the smallest grid point admitting every value seen — the
   *     fixed point of the paper's demote loop (Alg. 2 lines 4-7);
   *   - each `S^(l)` lies in `[1.5, 1.75) * ufp`, i.e. its deviation from
@@ -21,14 +34,12 @@ package repro.core
   * only on the *multiset* of added values, not on the order of additions or
   * the shape of the merge tree. That is the bit-reproducibility guarantee.
   *
-  * Inputs must be finite; zeros are ignored (they carry no information and
-  * must not set the extractor grid). NaN/Inf handling lives in the class
-  * wrappers ([[ReproDouble]]).
+  * Inputs must be finite and below the format's huge threshold; zeros are
+  * ignored (they carry no information and must not set the extractor
+  * grid). Huge values, NaN and ±Inf are routed by [[ReproSlots]].
   */
 object RsumD {
-  import FpD._
-
-  /** Sentinel `e1` for "no finite nonzero value seen yet". */
+  /** Sentinel `e1` for "no finite nonzero value seen yet"; below every frame. */
   final val EMPTY: Int = Int.MinValue
 
   /** 2^e as a double, for e in the normal range [-1022, 1023]. */
@@ -36,58 +47,67 @@ object RsumD {
     java.lang.Double.longBitsToDouble((e + 1023).toLong << 52)
 
   /** Exponent of level `l` (0-based) of a state with level-1 exponent e1. */
-  @inline def eOf(e1: Int, l: Int): Int = {
+  @inline def eOf(e1: Int, l: Int, W: Int, ELMIN: Int): Int = {
     val e = e1 - l * W
     if (e < ELMIN) ELMIN else e
   }
 
   /** Nominal (deviation-zero) running sum of level `l`. */
-  @inline def nominal(e1: Int, l: Int): Double = 1.5 * pow2(eOf(e1, l))
+  @inline def nominal(e1: Int, l: Int, W: Int, ELMIN: Int): Double = 1.5 * pow2(eOf(e1, l, W, ELMIN))
 
   /** Smallest grid exponent whose window admits |b|, i.e. the fixed point
     * of `while |b| >= 2^(W-1) * ulp(S^(1)) do demote` (Alg. 2 lines 4-7):
     * validity requires `e1 >= E(b) + M - W + 2` with `E(b) = getExponent`.
+    * (A subnormal float, widened, has a lower exponent than binary32's
+    * `getExponent` reports; both clamp to `E1MIN`.)
     */
-  @inline def requiredE1(b: Double): Int = {
+  @inline def requiredE1(b: Double, M: Int, W: Int, E1MIN: Int): Int = {
     val need = Math.getExponent(b) + M - W + 2
     val g = W * Math.floorDiv(need + W - 1, W)
     if (g < E1MIN) E1MIN else g
   }
 
-  /** Initialize all levels of a state to their nominal values. */
-  def initLevels(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int): Unit = {
-    var l = 0
-    while (l < levels) { s(off + l) = nominal(e1, l); c(off + l) = 0L; l += 1 }
-  }
-
-  /** Demote a state from frame `e1Old` to the higher frame `e1New` (both on
+  /** Move a state from frame `e1Old` to the higher frame `e1New` (both on
     * the grid): level `l` becomes level `l + k`, the bottom `k` levels are
     * discarded, the top `k` levels start nominal (Alg. 2 lines 5-7 applied
-    * `k` times at once).
+    * `k` times at once). From EMPTY, every level starts nominal.
     */
-  def demote(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1Old: Int, e1New: Int): Unit = {
-    val k = (e1New - e1Old) / W
-    var l = levels - 1
-    while (l >= 0) {
-      if (l >= k) { s(off + l) = s(off + l - k); c(off + l) = c(off + l - k) }
-      else { s(off + l) = nominal(e1New, l); c(off + l) = 0L }
-      l -= 1
-    }
+  def raise(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1Old: Int, e1New: Int,
+            W: Int, ELMIN: Int): Unit = {
+    val k = if (e1Old == EMPTY) levels else Math.min((e1New - e1Old) / W, levels)
+    System.arraycopy(s, off, s, off + k, levels - k)
+    System.arraycopy(c, off, c, off + k, levels - k)
+    var l = 0
+    while (l < k) { s(off + l) = nominal(e1New, l, W, ELMIN); c(off + l) = 0L; l += 1 }
+  }
+
+  /** The frame of a state of frame `e1` (EMPTY, or too low for `b`) after
+    * adding `b`, the state raised to it. This is [[add]]'s cold path: a
+    * state changes frame a few times at most, and keeping the set-up out of
+    * `add` keeps its compiled code small enough to inline into the table
+    * loops (`scripts/jit-inline-check.sh`).
+    */
+  private def reframe(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int, b: Double,
+                      M: Int, W: Int, E1MIN: Int, ELMIN: Int): Int = {
+    val e1New = requiredE1(b, M, W, E1MIN)
+    raise(s, c, off, levels, e1, e1New, W, ELMIN)
+    e1New
   }
 
   /** Carry-bit propagation (Alg. 2 lines 14-18): renormalize every level
     * into the `[1.5, 1.75) * ufp` band, moving whole multiples of
-    * `0.25 * ufp` into the carry count. Every step is exact.
+    * `0.25 * ufp` into the carry count. `4 / ufp = 2^(2-e)` is a normal
+    * double for every level exponent of both grids, so multiplying by it
+    * gives the exact quotient. Every step is exact.
     */
-  def propagate(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int): Unit = {
+  def propagate(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int, W: Int, ELMIN: Int): Unit = {
     var l = 0
     while (l < levels) {
-      val ufp     = pow2(eOf(e1, l))
-      val quarter = 0.25 * ufp
-      val dev     = s(off + l) - 1.5 * ufp // exact (Sterbenz)
-      val d       = Math.floor(dev / quarter)
+      val e   = eOf(e1, l, W, ELMIN)
+      val dev = s(off + l) - 1.5 * pow2(e) // exact (Sterbenz)
+      val d   = Math.floor(dev * pow2(2 - e))
       if (d != 0.0) {
-        s(off + l) -= d * quarter
+        s(off + l) -= d * pow2(e - 2)
         c(off + l) += d.toLong
       }
       l += 1
@@ -95,150 +115,189 @@ object RsumD {
   }
 
   /** Add one finite value to a normalized state; returns the new `e1`.
-    * This is RSUM SCALAR (Alg. 2) for a single input value.
+    * This is RSUM SCALAR (Alg. 2) for a single input value. Each level the
+    * value reaches is renormalized at once (Alg. 2 lines 14-18); the levels
+    * it does not reach are unchanged, hence still normalized.
     */
-  def add(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1In: Int, b: Double): Int = {
+  def add(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1In: Int, b: Double,
+          M: Int, W: Int, E1MIN: Int, ELMIN: Int): Int = {
     if (b == 0.0) return e1In
-    var e1  = e1In
-    val req = requiredE1(b)
-    if (e1 == EMPTY) { e1 = req; initLevels(s, c, off, levels, e1) }
-    else if (req > e1) { demote(s, c, off, levels, e1, req); e1 = req }
+    // The frame admits |b| < 2^(W-1) * ulp(S^(1)) (see requiredE1).
+    val e1 =
+      if (e1In != EMPTY && Math.abs(b) < pow2(e1In - M + W - 1)) e1In
+      else reframe(s, c, off, levels, e1In, b, M, W, E1MIN, ELMIN)
     var r = b
     var l = 0
     while (l < levels && r != 0.0) {
-      // Error-free transformation against the FIXED extractor 1.5 * 2^e(l)
-      // (not the running sum): its parity in ulp units is constant, so
+      // Error-free transformation against the FIXED extractor of the level
+      // (not the running sum): its parity in grid steps is constant, so
       // round-half-even tie-breaking — and hence q — depends only on r and
       // the frame, never on accumulation order. This follows Demmel &
       // Nguyen's original design and is what makes reproducibility
-      // unconditional.
-      val a = nominal(e1, l)
+      // unconditional. The extractor's ulp is the grid step 2^(e-M).
+      val e = eOf(e1, l, W, ELMIN)
+      val a = 1.5 * pow2(e + FpD.M - M)
       val q = (r + a) - a     // q = r rounded to the level grid, deterministically
-      s(off + l) += q         // exact: q is a multiple of ulp, S stays in (1, 2) * ufp
       r -= q                  // exact
+      val x = s(off + l) + q  // exact: q is on the grid, S stays in (1, 2) * ufp
+      val d = Math.floor((x - 1.5 * pow2(e)) * pow2(2 - e))
+      if (d != 0.0) {
+        s(off + l) = x - d * pow2(e - 2)
+        c(off + l) += d.toLong
+      } else s(off + l) = x
       l += 1
     }
-    propagate(s, c, off, levels, e1)
     e1
   }
 
+  /** [[add]] on double's grid. */
+  def add(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1In: Int, b: Double): Int =
+    add(s, c, off, levels, e1In, b, FpD.M, FpD.W, FpD.E1MIN, FpD.ELMIN)
+
   /** Merge state B into state A (the paper's `operator+=(repro)`); returns
-    * A's new `e1`. B is consumed: it may be demoted and renormalized in
-    * place. Exact, hence associative and commutative bit-for-bit.
+    * A's new `e1`. B is read, never written: when B has the lower frame,
+    * B's level `l - k` feeds A's level `l`, `k = (e1A - e1B) / W`, as if B
+    * were demoted to A's frame. Exact, hence associative and commutative
+    * bit-for-bit.
     */
   def merge(sA: Array[Double], cA: Array[Long], offA: Int, e1AIn: Int,
-            sB: Array[Double], cB: Array[Long], offB: Int, e1BIn: Int,
-            levels: Int): Int = {
-    if (e1BIn == EMPTY) return e1AIn
-    var e1A = e1AIn
-    var e1B = e1BIn
-    if (e1A == EMPTY) {
-      var l = 0
-      while (l < levels) { sA(offA + l) = sB(offB + l); cA(offA + l) = cB(offB + l); l += 1 }
-      return e1B
-    }
-    if (e1B > e1A) { demote(sA, cA, offA, levels, e1A, e1B); e1A = e1B }
-    else if (e1A > e1B) { demote(sB, cB, offB, levels, e1B, e1A); e1B = e1A }
-    propagate(sA, cA, offA, levels, e1A)
-    propagate(sB, cB, offB, levels, e1B)
-    var l = 0
+            sB: Array[Double], cB: Array[Long], offB: Int, e1B: Int,
+            levels: Int, W: Int, ELMIN: Int): Int = {
+    if (e1B == EMPTY) return e1AIn
+    val e1A = Math.max(e1AIn, e1B)
+    if (e1A != e1AIn) raise(sA, cA, offA, levels, e1AIn, e1A, W, ELMIN)
+    propagate(sA, cA, offA, levels, e1A, W, ELMIN)
+    val k = (e1A - e1B) / W
+    var l = k
     while (l < levels) {
-      val ufp = pow2(eOf(e1A, l))
-      val dev = sB(offB + l) - 1.5 * ufp // in [0, 0.25 * ufp), exact
-      sA(offA + l) += dev                // sum stays below 2 * ufp, exact
-      cA(offA + l) += cB(offB + l)
+      // B's level l-k has A's level l's exponent. Its deviation, taken into
+      // [0, 0.25 * ufp) with the whole quarters moved to the carry, keeps
+      // A's sum below 2 * ufp: exact.
+      val e   = eOf(e1A, l, W, ELMIN)
+      val dev = sB(offB + l - k) - 1.5 * pow2(e)
+      val d   = Math.floor(dev * pow2(2 - e))
+      sA(offA + l) += dev - d * pow2(e - 2)
+      cA(offA + l) += cB(offB + l - k) + d.toLong
       l += 1
     }
-    propagate(sA, cA, offA, levels, e1A)
+    propagate(sA, cA, offA, levels, e1A, W, ELMIN)
     e1A
   }
 
-  /** Finalize a state into a double (Eq. 1): sum the per-level terms from
-    * the last (smallest) level up, a fixed order so the result is a pure
-    * function of the canonical state.
+  /** Finalize a state (Eq. 1): sum the per-level terms from the last
+    * (smallest) level up, a fixed order so the result is a pure function of
+    * the canonical state. On float's grid (`M == FpF.M`) the result is
+    * binary32 RSUM's: the carry count converts to float, and each level's
+    * carry term, its sum with the level's deviation and each partial sum
+    * are rounded to float. One double operation on floats, rounded to
+    * float, is the float operation (53 >= 2*24+2; Figueroa, "When is double
+    * rounding innocuous?", SIGNUM 1995), overflow included.
     */
-  def eval(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int): Double = {
+  def eval(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int,
+           M: Int, W: Int, ELMIN: Int): Double = {
     if (e1 == EMPTY) return 0.0
-    propagate(s, c, off, levels, e1)
+    propagate(s, c, off, levels, e1, W, ELMIN)
+    val single = M == FpF.M
+    @inline def fit(x: Double): Double = if (single) x.toFloat.toDouble else x
     var q = 0.0
     var l = levels - 1
     while (l >= 0) {
-      val ufp     = pow2(eOf(e1, l))
-      val quarter = 0.25 * ufp
-      q += (s(off + l) - 1.5 * ufp) + quarter * c(off + l).toDouble
+      val ufp     = pow2(eOf(e1, l, W, ELMIN))
+      val carries = if (single) c(off + l).toFloat.toDouble else c(off + l).toDouble
+      q = fit(q + fit((s(off + l) - 1.5 * ufp) + fit(0.25 * ufp * carries)))
       l -= 1
     }
     q
   }
+
+  /** [[eval]] on double's grid. */
+  def eval(s: Array[Double], c: Array[Long], off: Int, levels: Int, e1: Int): Double =
+    eval(s, c, off, levels, e1, FpD.M, FpD.W, FpD.ELMIN)
 }
 
-/** RSUM SIMD (Alg. 3) for doubles: V-lane batched summation with NB-tiled
-  * carry propagation and an exact, order-independent horizontal merge
-  * (Eqs. 2-3). One instance holds the lane scratch so hot loops do not
-  * allocate; not thread-safe — use one instance per thread.
+/** RSUM SIMD (Alg. 3): V-lane batched summation with NB-tiled carry
+  * propagation and an exact, order-independent horizontal merge (Eqs.
+  * 2-3), for double input on double's grid and float input on float's. One
+  * instance holds the lane scratch so hot loops do not allocate; not
+  * thread-safe — use one instance per thread.
   *
   * As in Alg. 3, where the lanes are vector registers, a level's V lane
   * sums live in locals for a whole block of `V * NB` values and go back to
-  * the lane scratch once per block. Level 0 reads the caller's values, and
-  * each level leaves its remainders in `rbuf` for the next (no copy pass). One
-  * range scan per block finds the max that fixes the frame and refuses the
-  * call ([[RsumBatchD.OutOfRange]]) on any value the RSUM state cannot
-  * take, before the caller's state is written.
+  * the lane scratch once per block. Level 0 reads the caller's doubles (or
+  * the floats the range scan widened into `rbuf`), and each level leaves
+  * its remainders in `rbuf` for the next. One range scan per block finds
+  * the max that fixes the frame and refuses the call
+  * ([[RsumBatchD.OutOfRange]]) on any value the RSUM state cannot take,
+  * before the caller's state is written.
   *
   * The resulting state is bit-identical to feeding the same values through
   * [[RsumD.add]] one by one (both capture the identical exact content and
   * leave the state in canonical form).
   */
 final class RsumBatchD(val levels: Int) {
-  import FpD._
+  import FpD.{NB, V}
   import RsumD._
 
   // Lane l*V+v holds lane v of level l. Carries need no lanes, as the
   // horizontal merge only sums them: lc(l) is level l's carry count.
   private val ls = new Array[Double](levels * V)
   private val lc = new Array[Long](levels)
-  // Per-block fixed extractors (see RsumD.add: fixed extractors keep
-  // tie-breaking order-independent), i.e. the levels' nominal sums.
-  private val ext = new Array[Double](levels)
+  // The levels' nominal sums in the current frame.
+  private val nom = new Array[Double](levels)
   // Remainders of one block, the input of the next level.
   private val rbuf = new Array[Double](V * NB)
 
+  /** Add `values(from until from+len)` to the normalized state in `s`/`c`
+    * at `off`, on double's grid; returns the new `e1`. If any of the values
+    * is huge (|b| >= [[ReproDouble.HugeThreshold]]), ±Inf or NaN, returns
+    * [[RsumBatchD.OutOfRange]] instead and leaves `s`/`c` untouched.
+    */
+  def run(values: Array[Double], from: Int, len: Int,
+          s: Array[Double], c: Array[Long], off: Int, e1In: Int): Int =
+    runOn(values, null, from, len, s, c, off, e1In, FpD.M, FpD.W, FpD.E1MIN, FpD.ELMIN, RsumBatchD.HugeBits)
+
+  /** The same for float values, on float's grid (the bound is
+    * [[ReproFloat.HugeThreshold]]).
+    */
+  def run(values: Array[Float], from: Int, len: Int,
+          s: Array[Double], c: Array[Long], off: Int, e1In: Int): Int =
+    runOn(null, values, from, len, s, c, off, e1In, FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN, RsumBatchD.HugeBitsF)
+
   /** Lanes `v0 until V` of level `l` nominal. */
-  private def initLevel(l: Int, v0: Int, e1: Int): Unit = {
-    val nom = nominal(e1, l)
+  private def initLevel(l: Int, v0: Int, e1: Int, W: Int, ELMIN: Int): Unit = {
+    val x = nominal(e1, l, W, ELMIN)
     var v = v0
-    while (v < V) { ls(l * V + v) = nom; v += 1 }
-    ext(l) = nom
+    while (v < V) { ls(l * V + v) = x; v += 1 }
+    nom(l) = x
   }
 
-  private def demoteLanes(e1Old: Int, e1New: Int): Unit = {
-    val k = (e1New - e1Old) / W
+  /** [[RsumD.raise]] on the lanes. */
+  private def raiseLanes(e1Old: Int, e1New: Int, W: Int, ELMIN: Int): Unit = {
+    val k = if (e1Old == EMPTY) levels else (e1New - e1Old) / W
     var l = levels - 1
     while (l >= 0) {
       if (l >= k) {
         System.arraycopy(ls, (l - k) * V, ls, l * V, V)
         lc(l) = lc(l - k)
-        ext(l) = nominal(e1New, l)
-      } else { initLevel(l, 0, e1New); lc(l) = 0L }
+        nom(l) = nominal(e1New, l, W, ELMIN)
+      } else { initLevel(l, 0, e1New, W, ELMIN); lc(l) = 0L }
       l -= 1
     }
   }
 
   /** Alg. 3 line 7, between blocks: move whole multiples of `0.25 * ufp`
-    * out of every lane that left the `[1.5, 1.75) * ufp` band. `4 / ufp =
-    * 2^(2-e)` is a normal double for every level exponent e in [ELMIN,
-    * 1000] (the range scan refuses values of 2^987 and above), so
-    * multiplying by it gives the exact quotient.
+    * out of every lane that left the `[1.5, 1.75) * ufp` band, multiplying
+    * by the exact power of two `4 / ufp` (see [[RsumD.propagate]]).
     */
-  private def propagateLanes(e1: Int): Unit = {
+  private def propagateLanes(e1: Int, W: Int, ELMIN: Int): Unit = {
     var l = 0
     while (l < levels) {
-      val e       = eOf(e1, l)
+      val e       = eOf(e1, l, W, ELMIN)
       val quarter = pow2(e - 2)
       val inv     = pow2(2 - e)
       var v = l * V
       while (v < (l + 1) * V) {
-        val dev = ls(v) - ext(l)
+        val dev = ls(v) - nom(l)
         if (!(dev >= 0.0 && dev < quarter)) {
           val d = Math.floor(dev * inv)
           ls(v) -= d * quarter
@@ -250,14 +309,43 @@ final class RsumBatchD(val levels: Int) {
     }
   }
 
-  /** Level-major, lane-striped extraction of one block (Alg. 3 lines 5-6):
-    * value `t` of the block, read at `src(from + t)`, feeds lane `t mod V`
-    * of level `l` and leaves its remainder in `rbuf(t)` for level `l + 1`.
-    * Since every per-level operation is exact and the extractors are
-    * fixed, the state is that of the value-major formulation, bit for bit.
+  /** The range scan (Alg. 3 line 4) of `values(i until i+m)`. The bits of
+    * a non-negative double order like its value, with +Inf above every
+    * finite value and NaN above +Inf: the largest |b| bits give the block
+    * max, and a huge, infinite or NaN value, if there is one, at one
+    * compare per block.
     */
-  private def extract(src: Array[Double], from: Int, m: Int, l: Int): Unit = {
-    val a    = ext(l)
+  private def maxBits(values: Array[Double], i: Int, m: Int): Long = {
+    var mx = 0L
+    var j  = i
+    while (j < i + m) {
+      mx = Math.max(mx, java.lang.Double.doubleToRawLongBits(values(j)) & Long.MaxValue)
+      j += 1
+    }
+    mx
+  }
+
+  /** [[maxBits]] of floats, widened (exactly) into `rbuf` for level 0. */
+  private def widen(values: Array[Float], i: Int, m: Int): Long = {
+    var mx = 0L
+    var t  = 0
+    while (t < m) {
+      val x = values(i + t).toDouble
+      rbuf(t) = x
+      mx = Math.max(mx, java.lang.Double.doubleToRawLongBits(x) & Long.MaxValue)
+      t += 1
+    }
+    mx
+  }
+
+  /** Level-major, lane-striped extraction of one block (Alg. 3 lines 5-6)
+    * against the fixed extractor `a`: value `t` of the block, read at
+    * `src(from + t)`, feeds lane `t mod V` of level `l` and leaves its
+    * remainder in `rbuf(t)` for level `l + 1`. Since every per-level
+    * operation is exact and the extractors are fixed, the state is that of
+    * the value-major formulation, bit for bit.
+    */
+  private def extract(src: Array[Double], from: Int, m: Int, l: Int, a: Double): Unit = {
     val base = l * V
     var s0 = ls(base); var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
     var t = 0
@@ -279,68 +367,57 @@ final class RsumBatchD(val levels: Int) {
     }
   }
 
-  /** Add `values(from until from+len)` to the normalized state in `s`/`c`
-    * at `off`; returns the new `e1`. If any of the values is huge
-    * (|b| >= [[ReproDouble.HugeThreshold]]), ±Inf or NaN, returns
-    * [[RsumBatchD.OutOfRange]] instead and leaves `s`/`c` untouched.
+  /** [[run]] on the grid `(M, W, E1MIN, ELMIN)`, over `vd` or, when that is
+    * null, `vf`; `hugeBits` are the bits of the smallest `|b|` out of range.
     */
-  def run(values: Array[Double], from: Int, len: Int,
-          s: Array[Double], c: Array[Long], off: Int, e1In: Int): Int = {
+  private def runOn(vd: Array[Double], vf: Array[Float], from: Int, len: Int,
+                    s: Array[Double], c: Array[Long], off: Int, e1In: Int,
+                    M: Int, W: Int, E1MIN: Int, ELMIN: Int, hugeBits: Long): Int = {
     if (len <= 0) return e1In
     var e1 = e1In
 
     // Load state into lane 0, nominals elsewhere (Alg. 3 lines 1-2).
     if (e1 != EMPTY) {
       var l = 0
-      while (l < levels) { ls(l * V) = s(off + l); lc(l) = c(off + l); initLevel(l, 1, e1); l += 1 }
+      while (l < levels) { ls(l * V) = s(off + l); lc(l) = c(off + l); initLevel(l, 1, e1, W, ELMIN); l += 1 }
     }
 
+    // The extractor of a level is its nominal sum times 2^(52-M).
+    val x   = pow2(FpD.M - M)
     val end = from + len
     var i   = from
     while (i < end) {
       val m = math.min(V * NB, end - i)
-      if (i > from && e1 != EMPTY) propagateLanes(e1)
-      // The range scan (Alg. 3 line 4). The bits of a non-negative double
-      // order like its value, with +Inf above every finite value and NaN
-      // above +Inf: the largest |b| bits give the block max, and a huge,
-      // infinite or NaN value, if there is one, at one compare per block.
-      var mx = 0L
-      var j  = i
-      while (j < i + m) {
-        mx = Math.max(mx, java.lang.Double.doubleToRawLongBits(values(j)) & Long.MaxValue)
-        j += 1
-      }
-      if (mx >= RsumBatchD.HugeBits) return RsumBatchD.OutOfRange
+      if (i > from && e1 != EMPTY) propagateLanes(e1, W, ELMIN)
+      val mx = if (vd != null) maxBits(vd, i, m) else widen(vf, i, m)
+      if (mx >= hugeBits) return RsumBatchD.OutOfRange
       if (mx != 0L) {
-        val req = requiredE1(java.lang.Double.longBitsToDouble(mx))
-        if (e1 == EMPTY) {
-          e1 = req
-          var l = 0
-          while (l < levels) { initLevel(l, 0, e1); lc(l) = 0L; l += 1 }
-        } else if (req > e1) { demoteLanes(e1, req); e1 = req }
+        val req = requiredE1(java.lang.Double.longBitsToDouble(mx), M, W, E1MIN)
+        if (req > e1) { raiseLanes(e1, req, W, ELMIN); e1 = req }
 
-        extract(values, i, m, 0)
+        if (vd != null) extract(vd, i, m, 0, nom(0) * x) else extract(rbuf, 0, m, 0, nom(0) * x)
         var l = 1
-        while (l < levels) { extract(rbuf, 0, m, l); l += 1 }
+        while (l < levels) { extract(rbuf, 0, m, l, nom(l) * x); l += 1 }
       }
       i += m
     }
 
     // Exact horizontal merge back into the scalar state (Eqs. 2-3), with
     // the last block's carry propagation folded in. A block moves a lane by
-    // at most NB * 2^(W-1) ulp = ufp / 8, so a lane's deviation lies in
-    // [-1/8, 3/8] * ufp, and the V = 4 deviations, multiples of ulp(ufp),
-    // sum exactly.
+    // at most NB * 2^(W-1) grid steps: ufp / 8 on double's grid, so a
+    // lane's deviation lies in [-1/8, 3/8] * ufp and the V = 4 deviations,
+    // multiples of ulp(ufp), sum exactly; 16 * ufp on float's grid, where
+    // the deviations are multiples of 2^(e-23) below 2^(e+6) and sum
+    // exactly too.
     if (e1 != EMPTY) {
       var l = 0
       while (l < levels) {
-        val e      = eOf(e1, l)
-        val nom    = ext(l)
+        val e      = eOf(e1, l, W, ELMIN)
         var devTot = 0.0
         var v = l * V
-        while (v < (l + 1) * V) { devTot += ls(v) - nom; v += 1 }
+        while (v < (l + 1) * V) { devTot += ls(v) - nom(l); v += 1 }
         val k = Math.floor(devTot * pow2(2 - e))
-        s(off + l) = nom + (devTot - k * pow2(e - 2))
+        s(off + l) = nom(l) + (devTot - k * pow2(e - 2))
         c(off + l) = lc(l) + k.toLong
         l += 1
       }
@@ -356,8 +433,11 @@ object RsumBatchD {
     */
   final val OutOfRange = Int.MaxValue
 
-  /** Bits of [[ReproDouble.HugeThreshold]]: the smallest `|b|` bits out of range. */
-  private val HugeBits = java.lang.Double.doubleToRawLongBits(ReproDouble.HugeThreshold)
+  /** Bits of [[ReproDouble.HugeThreshold]] and of [[ReproFloat.HugeThreshold]]
+    * widened: the smallest `|b|` bits out of range.
+    */
+  private val HugeBits  = java.lang.Double.doubleToRawLongBits(ReproDouble.HugeThreshold)
+  private val HugeBitsF = java.lang.Double.doubleToRawLongBits(ReproFloat.HugeThreshold.toDouble)
 
   // Indexed by levels (1..16). A kernel holds 32 KiB of scratch, so
   // summation buffers share their thread's kernel instead of owning one.

@@ -215,7 +215,7 @@ final class BufFTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[
   private val states = new ReproSlotsF(cap, levels)
   private val buf = new Array[Float](cap * bsz)
   private val fill = new Array[Int](cap)
-  private val scratch = new RsumBatchF(levels)
+  private val scratch = new RsumBatchD(levels)
 
   protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
 

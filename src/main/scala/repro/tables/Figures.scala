@@ -1,7 +1,7 @@
 package repro.tables
 
 import repro.SynthData
-import repro.core.{ReproDouble, RsumBatchD, RsumBatchF, RsumD, RsumF}
+import repro.core.{FpF, ReproDouble, RsumBatchD, RsumD}
 import repro.exec.{AggKind, PartitionAndAggregate}
 
 /** Fig. 4 (paper §IV): HASHAGGREGATION at 16 groups with the unbuffered
@@ -135,11 +135,11 @@ object Fig6 {
     }
   }
 
-  /** The crossover behind `FpD.BatchMin` and `FpF.BatchMin`: `n`
-    * mixed-magnitude values added chunk by chunk into `states` states taken
-    * round robin, through `RsumD.add`/`RsumF.add` one value at a time and
-    * through `RsumBatchD.run`/`RsumBatchF.run` one chunk at a time; the
-    * median of `reps` after `warmup` passes.
+  /** The crossover behind `FpD.BatchMin`: `n` mixed-magnitude values
+    * (doubles, or the same narrowed to float) added chunk by chunk into
+    * `states` states taken round robin, through `RsumD.add` one value at a
+    * time and through `RsumBatchD.run` one chunk at a time; the median of
+    * `reps` after `warmup` passes.
     */
   def crossover(chunks: Seq[Int] = Seq(4, 6, 8, 10, 12, 14, 16, 20, 24, 32),
                 levels: Seq[Int] = Seq(2, 4), n: Int = 1 << 18, states: Int = 1024,
@@ -163,18 +163,19 @@ object Fig6 {
       }
     }
 
+    // Floats on float's grid: the same kernels, given float's grid.
     def nsF(c: Int, l: Int, batch: Boolean): Double = {
-      val k = new RsumBatchF(l)
+      val k = new RsumBatchD(l)
       nsPerElement(n / c * c, warmup, reps) {
-        val (s, cs, e) = (new Array[Float](states * l), new Array[Long](states * l), Array.fill(states)(RsumF.EMPTY))
+        val (s, cs, e) = (new Array[Double](states * l), new Array[Long](states * l), Array.fill(states)(RsumD.EMPTY))
         var i = 0; var st = 0
         while (i + c <= n) {
           if (batch) e(st) = k.run(vf, i, c, s, cs, st * l, e(st))
-          else { var j = i; while (j < i + c) { e(st) = RsumF.add(s, cs, st * l, l, e(st), vf(j)); j += 1 } }
+          else { var j = i; while (j < i + c) { e(st) = RsumD.add(s, cs, st * l, l, e(st), vf(j), FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN); j += 1 } }
           st = (st + 1) % states
           i += c
         }
-        RsumF.eval(s, cs, 0, l, e(0)).toDouble
+        RsumD.eval(s, cs, 0, l, e(0), FpF.M, FpF.W, FpF.ELMIN)
       }
     }
 

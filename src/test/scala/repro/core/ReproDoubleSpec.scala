@@ -341,7 +341,7 @@ class ReproDoubleSpec extends AnyFunSuite {
     val r = new Random(81)
     for (_ <- 1 to 1000) {
       val b = (r.nextDouble() * 2 - 1) * math.pow(2.0, r.nextInt(600) - 300)
-      val e1 = RsumD.requiredE1(b)
+      val e1 = RsumD.requiredE1(b, FpD.M, FpD.W, FpD.E1MIN)
       assert(e1 % FpD.W == 0)
       if (e1 > FpD.E1MIN) {
         // validity: |b| < 2^(W-1) * ulp(S1) = 2^(e1 - M + W - 1)
@@ -361,7 +361,7 @@ class ReproDoubleSpec extends AnyFunSuite {
     img.getInt; val e1 = img.getInt; img.get(); img.getDouble
     for (l <- 0 until 3) {
       val sl = img.getDouble
-      val ufp = RsumD.pow2(RsumD.eOf(e1, l))
+      val ufp = RsumD.pow2(RsumD.eOf(e1, l, FpD.W, FpD.ELMIN))
       assert(sl >= 1.5 * ufp && sl < 1.75 * ufp, s"level $l: $sl not in band")
     }
   }

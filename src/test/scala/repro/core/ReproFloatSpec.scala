@@ -55,14 +55,14 @@ class ReproFloatSpec extends AnyFunSuite {
     test(s"L=$l: batch == scalar bitwise") {
       val vals = mixedF(20000, 421 + l)
       val a = new ReproFloat(l)
-      a.addBatch(vals, 0, vals.length, new RsumBatchF(l))
+      a.addBatch(vals, 0, vals.length, new RsumBatchD(l))
       val b = { val st = new ReproFloat(l); vals.foreach(st.add); st }
       assert(a.bitEquals(b))
     }
 
     test(s"L=$l: chunked batch == scalar bitwise") {
       val vals = mixedF(5000, 431 + l)
-      val scratch = new RsumBatchF(l)
+      val scratch = new RsumBatchD(l)
       val a = new ReproFloat(l)
       var i = 0
       while (i < vals.length) {
@@ -124,12 +124,12 @@ class ReproFloatSpec extends AnyFunSuite {
 
   test("float kernel SoA slices with offsets") {
     val L = 2
-    val s = new Array[Float](4 * L)
+    val s = new Array[Double](4 * L)
     val c = new Array[Long](4 * L)
-    val e1 = Array.fill(4)(RsumF.EMPTY)
+    val e1 = Array.fill(4)(RsumD.EMPTY)
     for (slot <- 0 until 4; i <- 1 to 50)
-      e1(slot) = RsumF.add(s, c, slot * L, L, e1(slot), (slot + 1).toFloat * i)
+      e1(slot) = RsumD.add(s, c, slot * L, L, e1(slot), ((slot + 1).toFloat * i).toDouble, FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN)
     for (slot <- 0 until 4)
-      assert(RsumF.eval(s, c, slot * L, L, e1(slot)) == (slot + 1) * 1275.0f)
+      assert(RsumD.eval(s, c, slot * L, L, e1(slot), FpF.M, FpF.W, FpF.ELMIN).toFloat == (slot + 1) * 1275.0f)
   }
 }

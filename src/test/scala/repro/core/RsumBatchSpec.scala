@@ -157,11 +157,11 @@ class RsumBatchSpec extends AnyFunSuite {
     }
 
     test(s"L=$l: ReproFloat.addBatch at len=$at == scalar bitwise, full domain") {
-      val n = FpF.BatchMin + d
+      val n = FpD.BatchMin + d
       val chunks = boundaryChunks(new Random(337L * n + l), n, Float.MinPositiveValue.toDouble,
         Seq(Float.MaxValue.toDouble, -3e37, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
           .map(_.map(_.toFloat))
-      val (st, ref, scratch) = (new ReproFloat(l), new ReproFloat(l), new RsumBatchF(l))
+      val (st, ref, scratch) = (new ReproFloat(l), new ReproFloat(l), new RsumBatchD(l))
       for (c <- chunks) {
         st.addBatch(c, 0, n, scratch)
         c.foreach(ref.add)

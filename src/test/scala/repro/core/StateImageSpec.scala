@@ -1,0 +1,69 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+
+/** The bytes of the serialized states, pinned. The round-trip tests cannot
+  * see a change of the format or of the canonical state that both the
+  * writer and the reader make; these images can. Each holds fixed values at
+  * L=2: ordinary ones, then the same plus a huge value (its sidecar image
+  * follows in place) or an infinity (the non-finite flag and side sum).
+  */
+class StateImageSpec extends AnyFunSuite {
+  private def hex(b: Array[Byte]): String = b.map(x => f"${x & 0xff}%02x").mkString
+
+  private val plainD = Seq(1.0, 2.5, -0.375, 1e-3, 12345.678, -7.0e-9)
+  private val plainF = Seq(1.0f, 2.5f, -0.375f, 1e-3f, 12345.678f, -7.0e-9f)
+  private val extraD = Seq("plain" -> Seq.empty[Double], "huge" -> Seq(1.0e300), "-Inf" -> Seq(Double.NegativeInfinity))
+  private val extraF = Seq("plain" -> Seq.empty[Float], "huge" -> Seq(3.0e37f), "+Inf" -> Seq(Float.PositiveInfinity))
+
+  // Written by the binary32 float kernel and the double kernel before they
+  // became one; the shared kernel must write the same bytes.
+  private val imagesD = Map(
+    "plain" ->
+      ("0000000200000028000000000000000000427800000303ccdd3ff8002f18beb3" +
+       "1d0000000000000000000000000000000000000000"),
+    "huge" ->
+      ("0000000200000028000000000000000000427800000303ccdd3ff8002f18beb3" +
+       "1d000000000000000000000000000000000000003500000002000001b8000000" +
+       "0000000000005b7800000000017e58f80043c880075a00000000000000000000" +
+       "00000000000000000000"),
+    "-Inf" ->
+      ("000000020000002801fff0000000000000427800000303ccdd3ff8002f18beb3" +
+       "1d0000000000000000000000000000000000000000"))
+
+  private val imagesF = Map(
+    "plain" ->
+      ("0000000200000024000000000051c0000248de079a0000000000000000ffffff" +
+       "ffffffffff00000000"),
+    "huge" ->
+      ("0000000200000024000000000051c0000248de079a0000000000000000ffffff" +
+       "ffffffffff000000290000000200000048000000000063c0b48e5ac148000000" +
+       "000000000000000000000000000000000000"),
+    "+Inf" ->
+      ("0000000200000024017f80000051c0000248de079a0000000000000000ffffff" +
+       "ffffffffff00000000"))
+
+  test("ReproDouble.serialize images are pinned") {
+    for ((name, extra) <- extraD) {
+      val st = new ReproDouble(2)
+      (plainD ++ extra).foreach(st.add)
+      assert(hex(st.serialize()) == imagesD(name), name)
+    }
+  }
+
+  test("BufferedReproDouble.serialize images are pinned") {
+    for ((name, extra) <- extraD) {
+      val st = new BufferedReproDouble(2, 16)
+      (plainD ++ extra).foreach(st.add)
+      assert(hex(st.serialize()) == "0000000200000010" + imagesD(name), name)
+    }
+  }
+
+  test("ReproFloat.serialize images are pinned") {
+    for ((name, extra) <- extraF) {
+      val st = new ReproFloat(2)
+      (plainF ++ extra).foreach(st.add)
+      assert(hex(st.serialize()) == imagesF(name), name)
+    }
+  }
+}
