@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.tables.{Fig4, Fig6}
+import repro.tables.{Fig4, Fig6, Fig9}
 
 /** Supporting experiment behind §IV/Fig. 4: at 16 groups (fully in-cache),
   * the unbuffered `repro<T,L>` drop-in types cost a multiple of the
@@ -64,5 +64,30 @@ class Fig6Bench extends AnyFunSuite {
   test("large-chunk batched RSUM lands within a small factor of a plain sum") {
     assert(res.simdInfSlowdown <= 30.0,
       s"single-call batched slowdown ${res.simdInfSlowdown} vs conventional is out of range")
+  }
+}
+
+/** Fig. 9 / §V-C, the offline depth tuning: ns/element of
+  * PartitionAndAggregate at each partitioning depth by group count, for
+  * buffered `repro<double,2>` and for built-in double. Where the curves
+  * cross are `PartitionAndAggregate.depthFor`'s and
+  * `TableIII.builtinDepthFor`'s thresholds; read them off the printed
+  * traces.
+  */
+class Fig9Bench extends AnyFunSuite {
+
+  lazy val buffered: Fig9.Result = Fig9.run()
+  lazy val builtin: Fig9.Result = Fig9.run(buffered = false)
+
+  test("render Fig. 9 traces (buffered repro, built-in double)") {
+    println(buffered.render)
+    println(builtin.render)
+  }
+
+  test("every group count has a finite time at each of d = 0, 1, 2") {
+    for (res <- Seq(buffered, builtin); r <- res.rows) {
+      assert(r.nsByDepth.size == 3 && r.nsByDepth.forall(java.lang.Double.isFinite),
+        s"2^${Integer.numberOfTrailingZeros(r.groups)} groups: ${r.nsByDepth}")
+    }
   }
 }

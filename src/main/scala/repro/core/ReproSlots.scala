@@ -124,12 +124,19 @@ sealed abstract class ReproSlots[T <: ReproSlots[T]](val n: Int, val levels: Int
     bb.array()
   }
 
-  /** Writes the image of slot 0 at `bb`'s position. */
+  /** Writes the image of slot 0 at `bb`'s position. A NaN side sum is
+    * written as `Double.NaN` (`Float.NaN`): its sign depends on the order in
+    * which the compiled code put the operands of `nonFinite + b`. This is
+    * done here, not in `add`, to keep `add`'s compiled code small enough to
+    * inline.
+    */
   private[core] def write(bb: ByteBuffer): Unit = {
     def putSum(x: Double): Unit = if (sumBytes == 4) bb.putFloat(x.toFloat) else bb.putDouble(x)
     bb.putInt(levels).putInt(e1(0))
     bb.put(if (hasNonFinite(0)) 1.toByte else 0.toByte)
-    putSum(nonFinite(0))
+    if (java.lang.Double.isNaN(nonFinite(0))) {
+      if (sumBytes == 4) bb.putFloat(Float.NaN) else bb.putDouble(Double.NaN)
+    } else putSum(nonFinite(0))
     var l = 0
     while (l < levels) { putSum(s(l)); l += 1 }
     l = 0

@@ -46,7 +46,7 @@ object PartitionAndAggregate {
 
   /** Offline-tuned partitioning depth for the buffered repro types,
     * following the paper's §V-C procedure (measure each depth per group
-    * count — see `Fig9`/`Fig9Job` — and take the cross-overs). On this
+    * count — see `Fig9` and `Fig9Bench` — and take the cross-overs). On this
     * substrate the JVM radix pass costs more relative to aggregation than
     * the paper's AVX-tuned one, so the thresholds sit higher than the
     * paper's (2^10/2^18); the *ordering* — buffered repro partitions

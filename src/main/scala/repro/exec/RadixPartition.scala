@@ -13,20 +13,30 @@ package repro.exec
   */
 object RadixPartition {
 
-  /** One stable scatter pass on byte `(key >>> shift) & 255`. */
+  /** `b(p)`, for `p` in `0..mask+1`: how many keys have `(key >>> shift) &
+    * mask` below `p`, i.e. where the keys of bucket `p` start in a stable
+    * counting sort.
+    */
+  private def bounds(keys: Array[Int], shift: Int, mask: Int): Array[Int] = {
+    val b = new Array[Int](mask + 2)
+    var i = 0
+    while (i < keys.length) { b(((keys(i) >>> shift) & mask) + 1) += 1; i += 1 }
+    i = 0
+    while (i <= mask) { b(i + 1) += b(i); i += 1 }
+    b
+  }
+
+  /** One stable scatter pass on byte `(key >>> shift) & 255`; the input is
+    * only read.
+    */
   def pass(keysIn: Array[Int], valsIn: Array[Double],
            keysOut: Array[Int], valsOut: Array[Double], shift: Int): Unit = {
-    val n = keysIn.length
-    val hist = new Array[Int](257)
+    val next = bounds(keysIn, shift, 255)
     var i = 0
-    while (i < n) { hist(((keysIn(i) >>> shift) & 255) + 1) += 1; i += 1 }
-    i = 0
-    while (i < 256) { hist(i + 1) += hist(i); i += 1 }
-    i = 0
-    while (i < n) {
+    while (i < keysIn.length) {
       val b = (keysIn(i) >>> shift) & 255
-      val pos = hist(b)
-      hist(b) = pos + 1
+      val pos = next(b)
+      next(b) = pos + 1
       keysOut(pos) = keysIn(i)
       valsOut(pos) = valsIn(i)
       i += 1
@@ -36,17 +46,12 @@ object RadixPartition {
   /** Float-valued variant of [[pass]]. */
   def passF(keysIn: Array[Int], valsIn: Array[Float],
             keysOut: Array[Int], valsOut: Array[Float], shift: Int): Unit = {
-    val n = keysIn.length
-    val hist = new Array[Int](257)
+    val next = bounds(keysIn, shift, 255)
     var i = 0
-    while (i < n) { hist(((keysIn(i) >>> shift) & 255) + 1) += 1; i += 1 }
-    i = 0
-    while (i < 256) { hist(i + 1) += hist(i); i += 1 }
-    i = 0
-    while (i < n) {
+    while (i < keysIn.length) {
       val b = (keysIn(i) >>> shift) & 255
-      val pos = hist(b)
-      hist(b) = pos + 1
+      val pos = next(b)
+      next(b) = pos + 1
       keysOut(pos) = keysIn(i)
       valsOut(pos) = valsIn(i)
       i += 1
@@ -57,54 +62,38 @@ object RadixPartition {
     * `256^d + 1` partition boundaries (partition `p` holds the records with
     * `key & (256^d - 1) == p`, at `keys(offsets(p) until offsets(p+1))`).
     */
-  final case class PartitionedD(keys: Array[Int], values: Array[Double], offsets: Array[Int])
-  final case class PartitionedF(keys: Array[Int], values: Array[Float], offsets: Array[Int])
+  final case class Partitioned[V](keys: Array[Int], values: V, offsets: Array[Int])
+  type PartitionedD = Partitioned[Array[Double]]
+  type PartitionedF = Partitioned[Array[Float]]
 
   /** `d` levels of partitioning of double-valued records; `d == 0` is a
     * no-op forward (paper: "PARALLELPARTITION is a no-op that forwards its
-    * input" when F=1).
+    * input" when F=1). The caller's arrays are never written.
     */
-  def partition(keys: Array[Int], values: Array[Double], d: Int): PartitionedD = {
-    require(d >= 0 && d <= 3, s"partition depth must be in [0,3], got $d")
-    val n = keys.length
-    if (d == 0) return PartitionedD(keys, values, Array(0, n))
-    var kIn = keys.clone(); var vIn = values.clone()
-    var kOut = new Array[Int](n); var vOut = new Array[Double](n)
-    var level = 0
-    while (level < d) {
-      pass(kIn, vIn, kOut, vOut, 8 * level)
-      val tk = kIn; kIn = kOut; kOut = tk
-      val tv = vIn; vIn = vOut; vOut = tv
-      level += 1
-    }
-    PartitionedD(kIn, vIn, offsets(kIn, d))
-  }
+  def partition(keys: Array[Int], values: Array[Double], d: Int): PartitionedD =
+    levels(keys, values, d, new Array[Double](_), pass)
 
   /** `d` levels of partitioning of float-valued records. */
-  def partitionF(keys: Array[Int], values: Array[Float], d: Int): PartitionedF = {
+  def partitionF(keys: Array[Int], values: Array[Float], d: Int): PartitionedF =
+    levels(keys, values, d, new Array[Float](_), passF)
+
+  /** The level loop of both precisions: the first pass reads the caller's
+    * arrays, later ones ping-pong between (at most two) fresh output pairs.
+    */
+  private def levels[V](keys: Array[Int], values: V, d: Int, alloc: Int => V,
+                        scatter: (Array[Int], V, Array[Int], V, Int) => Unit): Partitioned[V] = {
     require(d >= 0 && d <= 3, s"partition depth must be in [0,3], got $d")
     val n = keys.length
-    if (d == 0) return PartitionedF(keys, values, Array(0, n))
-    var kIn = keys.clone(); var vIn = values.clone()
-    var kOut = new Array[Int](n); var vOut = new Array[Float](n)
+    if (d == 0) return Partitioned(keys, values, Array(0, n))
+    val out = Seq.fill(math.min(d, 2))((new Array[Int](n), alloc(n)))
+    var kIn = keys; var vIn = values
     var level = 0
     while (level < d) {
-      passF(kIn, vIn, kOut, vOut, 8 * level)
-      val tk = kIn; kIn = kOut; kOut = tk
-      val tv = vIn; vIn = vOut; vOut = tv
+      val (kOut, vOut) = out(level % 2)
+      scatter(kIn, vIn, kOut, vOut, 8 * level)
+      kIn = kOut; vIn = vOut
       level += 1
     }
-    PartitionedF(kIn, vIn, offsets(kIn, d))
-  }
-
-  private def offsets(sortedKeys: Array[Int], d: Int): Array[Int] = {
-    val fanout = 1 << (8 * d)
-    val mask = fanout - 1
-    val off = new Array[Int](fanout + 1)
-    var i = 0
-    while (i < sortedKeys.length) { off((sortedKeys(i) & mask) + 1) += 1; i += 1 }
-    i = 0
-    while (i < fanout) { off(i + 1) += off(i); i += 1 }
-    off
+    Partitioned(kIn, vIn, bounds(kIn, 0, (1 << (8 * d)) - 1))
   }
 }

@@ -8,17 +8,18 @@ import repro.exec.{AggKind, PartitionAndAggregate}
   * uses the Eq. 4 buffer size for its fan-out. The cross-over points of
   * the three curves are the offline-tuned depth thresholds used by
   * `PartitionAndAggregate.depthFor` (the paper determines them the same
-  * way, §V-C).
+  * way, §V-C). With `buffered = false` it traces built-in double, whose
+  * cross-overs are `TableIII.builtinDepthFor`'s thresholds.
   */
 object Fig9 {
 
   final case class Row(groups: Int, nsByDepth: Seq[Double]) {
     def best: Int = nsByDepth.indexOf(nsByDepth.min)
   }
-  final case class Result(rows: Seq[Row]) {
+  final case class Result(rows: Seq[Row], aggregate: String) {
     def render: String = {
       val sb = new StringBuilder
-      sb ++= "Fig. 9: ns/element of PartitionAndAggregate(repro<double,2>+buf) by depth d\n"
+      sb ++= s"Fig. 9: ns/element of PartitionAndAggregate($aggregate) by depth d\n"
       sb ++= f"${"groups"}%8s | ${"d=0"}%8s | ${"d=1"}%8s | ${"d=2"}%8s | best\n"
       sb ++= "-" * 48 + "\n"
       rows.foreach { r =>
@@ -46,6 +47,6 @@ object Fig9 {
       }
       Row(g, times)
     }
-    Result(rows)
+    Result(rows, if (buffered) s"repro<double,$levels>+buf" else "double")
   }
 }

@@ -30,6 +30,4 @@ object Timing {
 
   def geomean(xs: Seq[Double]): Double =
     math.exp(xs.map(math.log).sum / xs.size)
-
-  def fmt(x: Double): String = f"$x%.2f"
 }

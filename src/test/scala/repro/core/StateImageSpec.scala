@@ -66,4 +66,50 @@ class StateImageSpec extends AnyFunSuite {
       assert(hex(st.serialize()) == imagesF(name), name)
     }
   }
+
+  // Four ways to reach a NaN side sum, whose NaN bits differ: a negative
+  // NaN, the positive `NaN` constant, and Inf + -Inf in both orders.
+  private val nansD = Seq(
+    Seq(java.lang.Double.longBitsToDouble(0xfff8000000000000L)), Seq(Double.NaN),
+    Seq(Double.PositiveInfinity, Double.NegativeInfinity), Seq(Double.NegativeInfinity, Double.PositiveInfinity))
+  private val nansF = Seq(
+    Seq(java.lang.Float.intBitsToFloat(0xffc00000)), Seq(Float.NaN),
+    Seq(Float.PositiveInfinity, Float.NegativeInfinity), Seq(Float.NegativeInfinity, Float.PositiveInfinity))
+
+  /** For each of `nans`, the images of three states that hold `plain ++
+    * nan`: fed directly, merged into an empty state, and a state fed only
+    * `nan` merged into one fed `plain`.
+    */
+  private def nanImages[V, S](plain: Seq[V], nans: Seq[Seq[V]], make: () => S, add: (S, V) => Unit,
+                              merge: (S, S) => Unit, image: S => Array[Byte]): Seq[String] = {
+    def fed(xs: Seq[V]): S = { val st = make(); xs.foreach(add(st, _)); st }
+    nans.flatMap { nan =>
+      val direct = fed(plain ++ nan)
+      val intoEmpty = make()
+      merge(intoEmpty, direct)
+      val intoPlain = fed(plain)
+      merge(intoPlain, fed(nan))
+      Seq(direct, intoEmpty, intoPlain).map(s => hex(image(s)))
+    }
+  }
+
+  private def oneCanonicalImage(images: Seq[String], sideSum: String): Unit = {
+    assert(images.distinct.size == 1, images.distinct.mkString("\n"))
+    assert(images.head.contains("01" + sideSum), images.head)
+  }
+
+  test("ReproDouble.serialize writes one image for a NaN state, before and after a merge") {
+    oneCanonicalImage(nanImages[Double, ReproDouble](plainD, nansD, () => new ReproDouble(2),
+      _.add(_), _.merge(_), _.serialize()), "7ff8000000000000")
+  }
+
+  test("BufferedReproDouble.serialize writes one image for a NaN state, before and after a merge") {
+    oneCanonicalImage(nanImages[Double, BufferedReproDouble](plainD, nansD, () => new BufferedReproDouble(2, 16),
+      _.add(_), _.merge(_), _.serialize()), "7ff8000000000000")
+  }
+
+  test("ReproFloat.serialize writes one image for a NaN state, before and after a merge") {
+    oneCanonicalImage(nanImages[Float, ReproFloat](plainF, nansF, () => new ReproFloat(2),
+      _.add(_), _.merge(_), _.serialize()), "7fc00000")
+  }
 }

@@ -2,7 +2,7 @@ package repro.exec
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SynthData
-import repro.core.ExactSum.bits
+import repro.core.ExactSum.{bits, bitsF}
 import scala.util.Random
 
 class RadixPartitionSpec extends AnyFunSuite {
@@ -44,6 +44,20 @@ class RadixPartitionSpec extends AnyFunSuite {
       val vals = Array(1.0, 2.0, 3.0, 4.0, 5.0)
       val p = RadixPartition.partition(keys, vals, d)
       assert(p.values.sameElements(vals))
+    }
+
+    test(s"d=$d: partition and partitionF leave the caller's arrays bit-identical") {
+      val n = 10000
+      val keys = SynthData.localUniformKeys(n, 70000, 9)
+      val vals = SynthData.localMixedValues(n, 10)
+      val valsF = SynthData.toFloats(vals)
+      val (keys0, vals0, valsF0) = (keys.clone(), vals.map(bits), valsF.map(bitsF))
+      val pd = RadixPartition.partition(keys, vals, d)
+      val pf = RadixPartition.partitionF(keys, valsF, d)
+      assert(keys.sameElements(keys0))
+      assert(vals.map(bits).sameElements(vals0))
+      assert(valsF.map(bitsF).sameElements(valsF0))
+      assert((pd.keys ne keys) && (pd.values ne vals) && (pf.keys ne keys) && (pf.values ne valsF))
     }
   }
 
