@@ -1,5 +1,6 @@
 import repro.SynthData;
 import repro.core.ReproDouble;
+import repro.exec.BufDTable;
 import repro.exec.ReproDTable;
 import repro.exec.ReproFTable;
 
@@ -8,7 +9,10 @@ import repro.exec.ReproFTable;
   * aggregate loop and a ReproDouble.add loop on U[1,2) values (the paper's
   * data), a ReproDTable loop on values spanning 2^-20..2^20, whose groups
   * change frame often, and a ReproFTable loop on the same values as floats.
-  * See jit-inline-check.sh.
+  * A BufDTable loop on the U[1,2) values (bsz 128) keeps the batched kernel
+  * hot in the same JVM, as the benchmark's buffered modes do; the kernel
+  * and the scalar add's cold path share RsumD.raise. See
+  * jit-inline-check.sh.
   */
 public class JitInlineCheck {
   public static void main(String[] args) {
@@ -20,6 +24,7 @@ public class JitInlineCheck {
     ReproDTable table = new ReproDTable(2 * groups, levels);
     ReproDTable mixedTable = new ReproDTable(2 * groups, levels);
     ReproFTable floatTable = new ReproFTable(2 * groups, levels);
+    BufDTable bufTable = new BufDTable(2 * groups, levels, 128);
     int[] outKeys = new int[groups];
     double[] outVals = new double[groups];
     double sink = 0;
@@ -30,6 +35,9 @@ public class JitInlineCheck {
       mixedTable.reset();
       mixedTable.aggregate(keys, mixed, 0, n, 0);
       sink += outVals[mixedTable.emit(outKeys, outVals, 0) - 1];
+      bufTable.reset();
+      bufTable.aggregate(keys, vals, 0, n, 0);
+      sink += outVals[bufTable.emit(outKeys, outVals, 0) - 1];
       floatTable.reset();
       floatTable.aggregate(keys, mixedF, 0, n, 0);
       sink += outVals[floatTable.emit(outKeys, outVals, 0) - 1];

@@ -8,7 +8,8 @@
 #
 # Builds the main sources with perfbench/build.py, runs JitInlineCheck.java
 # (ReproDTable loops on U[1,2) and on mixed-magnitude values, a ReproFTable
-# loop and a ReproDouble.add loop) with -XX:+PrintInlining on the
+# loop, a ReproDouble.add loop and a BufDTable loop that keeps the batched
+# kernel compiled beside them) with -XX:+PrintInlining on the
 # benchmark's heap and collector, prints every inlining decision about the
 # three methods, and exits 1 if any of them reads "already compiled into a
 # big method" or "hot method too big".

@@ -10,12 +10,16 @@ package repro.core
   * [[RsumD]] takes them as arguments, and [[FpF]] gives float's.
   *
   * `V` is the lane count of the batched ("SIMD") kernel [[RsumBatchD]] and
-  * `NB` its tile size between carry-bit propagations, for both grids. The
-  * per-value drift of a lane is at most `2^(W-1)` grid steps; on double's
-  * grid the band `[1.5, 1.75) * ufp` has `0.25 * ufp` of headroom before
-  * the lane's exponent could change, so any `NB <= 2^(M-W-1)` is safe — we
-  * use `2^(M-W-2)` for margin. On float's grid a lane held in a double has
-  * 29 spare bits, so the same tile is safe by far.
+  * `NB` its tile size between carry-bit propagations, for both grids: the
+  * lanes restart from the state every `V * NB` values (lane 0 at the
+  * state's normalized sum, the others at the nominal) and fold back into
+  * it at the block's end. The per-value drift of a lane is at most
+  * `2^(W-1)` grid steps; on double's grid the band `[1.5, 1.75) * ufp` has
+  * `0.25 * ufp` of headroom before the lane's exponent could change, so a
+  * lane may take up to `2^(M-W-1)` values. We use `NB = 2^(M-W-2)` for
+  * margin, so lane 0, which also takes the block's tail, stays within the
+  * bound with its `NB + V - 1` values. On float's grid a lane held in a
+  * double has 29 spare bits, so the same tile is safe by far.
   * `BatchMin` is the shortest chunk the batched kernel takes: below it the
   * per-call lane set-up and horizontal merge cost more than the scalar
   * path saves (Fig. 6 crossover, EXPERIMENTS.md).

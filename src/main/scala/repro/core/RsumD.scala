@@ -218,17 +218,21 @@ object RsumD {
 /** RSUM SIMD (Alg. 3): V-lane batched summation with NB-tiled carry
   * propagation and an exact, order-independent horizontal merge (Eqs.
   * 2-3), for double input on double's grid and float input on float's. One
-  * instance holds the lane scratch so hot loops do not allocate; not
+  * instance holds one block of scratch so hot loops do not allocate; not
   * thread-safe — use one instance per thread.
   *
-  * As in Alg. 3, where the lanes are vector registers, a level's V lane
-  * sums live in locals for a whole block of `V * NB` values and go back to
-  * the lane scratch once per block. Level 0 reads the caller's doubles (or
-  * the floats the range scan widened into `rbuf`), and each level leaves
-  * its remainders in `rbuf` for the next. One range scan per block finds
-  * the max that fixes the frame and refuses the call
-  * ([[RsumBatchD.OutOfRange]]) on any value the RSUM state cannot take,
-  * before the caller's state is written.
+  * A call works on the caller's state at one frame, in Alg. 3's order. One
+  * range scan of the whole batch finds the max that fixes the frame, and
+  * refuses the call ([[RsumBatchD.OutOfRange]]) on any value the RSUM state
+  * cannot take before the state is written; the state is then raised to
+  * that frame once ([[RsumD.raise]]). Per block of `V * NB` values and per
+  * level, the V lane sums live in locals, as Alg. 3 keeps them in vector
+  * registers: lane 0 starts at the state's running sum, the others at the
+  * nominal. At the end of the block one floor folds the lanes' exact total
+  * deviation back into the state's sum and carry: the horizontal merge and
+  * the tile's carry propagation in one step. Level 0 reads the caller's
+  * doubles, or the block's floats widened into `rbuf`, and each level
+  * leaves its remainders in `rbuf` for the next.
   *
   * The resulting state is bit-identical to feeding the same values through
   * [[RsumD.add]] one by one (both capture the identical exact content and
@@ -238,12 +242,6 @@ final class RsumBatchD(val levels: Int) {
   import FpD.{NB, V}
   import RsumD._
 
-  // Lane l*V+v holds lane v of level l. Carries need no lanes, as the
-  // horizontal merge only sums them: lc(l) is level l's carry count.
-  private val ls = new Array[Double](levels * V)
-  private val lc = new Array[Long](levels)
-  // The levels' nominal sums in the current frame.
-  private val nom = new Array[Double](levels)
   // Remainders of one block, the input of the next level.
   private val rbuf = new Array[Double](V * NB)
 
@@ -263,108 +261,68 @@ final class RsumBatchD(val levels: Int) {
           s: Array[Double], c: Array[Long], off: Int, e1In: Int): Int =
     runOn(null, values, from, len, s, c, off, e1In, FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN, RsumBatchD.HugeBitsF)
 
-  /** Lanes `v0 until V` of level `l` nominal. */
-  private def initLevel(l: Int, v0: Int, e1: Int, W: Int, ELMIN: Int): Unit = {
-    val x = nominal(e1, l, W, ELMIN)
-    var v = v0
-    while (v < V) { ls(l * V + v) = x; v += 1 }
-    nom(l) = x
-  }
-
-  /** [[RsumD.raise]] on the lanes. */
-  private def raiseLanes(e1Old: Int, e1New: Int, W: Int, ELMIN: Int): Unit = {
-    val k = if (e1Old == EMPTY) levels else (e1New - e1Old) / W
-    var l = levels - 1
-    while (l >= 0) {
-      if (l >= k) {
-        System.arraycopy(ls, (l - k) * V, ls, l * V, V)
-        lc(l) = lc(l - k)
-        nom(l) = nominal(e1New, l, W, ELMIN)
-      } else { initLevel(l, 0, e1New, W, ELMIN); lc(l) = 0L }
-      l -= 1
-    }
-  }
-
-  /** Alg. 3 line 7, between blocks: move whole multiples of `0.25 * ufp`
-    * out of every lane that left the `[1.5, 1.75) * ufp` band, multiplying
-    * by the exact power of two `4 / ufp` (see [[RsumD.propagate]]).
-    */
-  private def propagateLanes(e1: Int, W: Int, ELMIN: Int): Unit = {
-    var l = 0
-    while (l < levels) {
-      val e       = eOf(e1, l, W, ELMIN)
-      val quarter = pow2(e - 2)
-      val inv     = pow2(2 - e)
-      var v = l * V
-      while (v < (l + 1) * V) {
-        val dev = ls(v) - nom(l)
-        if (!(dev >= 0.0 && dev < quarter)) {
-          val d = Math.floor(dev * inv)
-          ls(v) -= d * quarter
-          lc(l) += d.toLong
-        }
-        v += 1
-      }
-      l += 1
-    }
-  }
-
-  /** The range scan (Alg. 3 line 4) of `values(i until i+m)`. The bits of
-    * a non-negative double order like its value, with +Inf above every
-    * finite value and NaN above +Inf: the largest |b| bits give the block
+  /** The range scan (Alg. 3 line 4) of `values(from until from+len)`. The
+    * bits of a non-negative double order like its value, with +Inf above
+    * every finite value and NaN above +Inf: the largest |b| bits give the
     * max, and a huge, infinite or NaN value, if there is one, at one
-    * compare per block.
+    * compare per call.
     */
-  private def maxBits(values: Array[Double], i: Int, m: Int): Long = {
+  private def maxBits(values: Array[Double], from: Int, len: Int): Long = {
     var mx = 0L
-    var j  = i
-    while (j < i + m) {
+    var j  = from
+    while (j < from + len) {
       mx = Math.max(mx, java.lang.Double.doubleToRawLongBits(values(j)) & Long.MaxValue)
       j += 1
     }
     mx
   }
 
-  /** [[maxBits]] of floats, widened (exactly) into `rbuf` for level 0. */
-  private def widen(values: Array[Float], i: Int, m: Int): Long = {
-    var mx = 0L
-    var t  = 0
-    while (t < m) {
-      val x = values(i + t).toDouble
-      rbuf(t) = x
-      mx = Math.max(mx, java.lang.Double.doubleToRawLongBits(x) & Long.MaxValue)
-      t += 1
+  /** [[maxBits]] of floats, widened (exactly): float bits order the same
+    * way, so the scan runs on them and widens only the max.
+    */
+  private def maxBits(values: Array[Float], from: Int, len: Int): Long = {
+    var mx = 0
+    var j  = from
+    while (j < from + len) {
+      mx = Math.max(mx, java.lang.Float.floatToRawIntBits(values(j)) & Int.MaxValue)
+      j += 1
     }
-    mx
+    java.lang.Double.doubleToRawLongBits(java.lang.Float.intBitsToFloat(mx).toDouble)
   }
 
-  /** Level-major, lane-striped extraction of one block (Alg. 3 lines 5-6)
+  /** Lane-striped extraction of one block at one level (Alg. 3 lines 5-6)
     * against the fixed extractor `a`: value `t` of the block, read at
-    * `src(from + t)`, feeds lane `t mod V` of level `l` and leaves its
-    * remainder in `rbuf(t)` for level `l + 1`. Since every per-level
-    * operation is exact and the extractors are fixed, the state is that of
-    * the value-major formulation, bit for bit.
+    * `src(from + t)`, feeds lane `t mod V`, or lane 0 in the block's tail,
+    * and leaves its remainder in `rbuf(t)` for the next level. Lane 0
+    * starts at `s0`, the others at the nominal `nom`; returns the lanes'
+    * total deviation from `nom`. A lane takes at most `NB + V - 1` values,
+    * each of at most `2^(W-1)` grid steps, so it stays inside `(1, 2) * ufp`
+    * and every step is exact: on double's grid a lane moves by at most
+    * `ufp / 8` (and a bit) from a deviation in `[0, 0.25 * ufp)`, so the
+    * four deviations, multiples of the grid step, sum exactly to less than
+    * `ufp` in magnitude; on
+    * float's grid a lane moves by at most `16 * ufp` (and a bit), and a
+    * lane held in a double has 29 spare bits.
     */
-  private def extract(src: Array[Double], from: Int, m: Int, l: Int, a: Double): Unit = {
-    val base = l * V
-    var s0 = ls(base); var s1 = ls(base + 1); var s2 = ls(base + 2); var s3 = ls(base + 3)
+  private def extract(src: Array[Double], from: Int, m: Int, s0: Double, nom: Double, a: Double): Double = {
+    var l0 = s0; var l1 = nom; var l2 = nom; var l3 = nom
     var t = 0
     while (t < (m & -V)) {
       val p = from + t
-      val r0 = src(p);     val q0 = (r0 + a) - a; rbuf(t) = r0 - q0;     s0 += q0
-      val r1 = src(p + 1); val q1 = (r1 + a) - a; rbuf(t + 1) = r1 - q1; s1 += q1
-      val r2 = src(p + 2); val q2 = (r2 + a) - a; rbuf(t + 2) = r2 - q2; s2 += q2
-      val r3 = src(p + 3); val q3 = (r3 + a) - a; rbuf(t + 3) = r3 - q3; s3 += q3
+      val r0 = src(p);     val q0 = (r0 + a) - a; rbuf(t) = r0 - q0;     l0 += q0
+      val r1 = src(p + 1); val q1 = (r1 + a) - a; rbuf(t + 1) = r1 - q1; l1 += q1
+      val r2 = src(p + 2); val q2 = (r2 + a) - a; rbuf(t + 2) = r2 - q2; l2 += q2
+      val r3 = src(p + 3); val q3 = (r3 + a) - a; rbuf(t + 3) = r3 - q3; l3 += q3
       t += V
     }
-    ls(base) = s0; ls(base + 1) = s1; ls(base + 2) = s2; ls(base + 3) = s3
     while (t < m) {
       val r = src(from + t)
       val q = (r + a) - a
       rbuf(t) = r - q
-      ls(base + (t & (V - 1))) += q
+      l0 += q
       t += 1
     }
+    ((l0 - nom) + (l1 - nom)) + ((l2 - nom) + (l3 - nom))
   }
 
   /** [[run]] on the grid `(M, W, E1MIN, ELMIN)`, over `vd` or, when that is
@@ -374,53 +332,36 @@ final class RsumBatchD(val levels: Int) {
                     s: Array[Double], c: Array[Long], off: Int, e1In: Int,
                     M: Int, W: Int, E1MIN: Int, ELMIN: Int, hugeBits: Long): Int = {
     if (len <= 0) return e1In
-    var e1 = e1In
-
-    // Load state into lane 0, nominals elsewhere (Alg. 3 lines 1-2).
-    if (e1 != EMPTY) {
-      var l = 0
-      while (l < levels) { ls(l * V) = s(off + l); lc(l) = c(off + l); initLevel(l, 1, e1, W, ELMIN); l += 1 }
-    }
+    val mx = if (vd != null) maxBits(vd, from, len) else maxBits(vf, from, len)
+    if (mx >= hugeBits) return RsumBatchD.OutOfRange
+    if (mx == 0L) return e1In
+    // One frame for the whole call (Alg. 3 lines 1-4).
+    val e1 = Math.max(e1In, requiredE1(java.lang.Double.longBitsToDouble(mx), M, W, E1MIN))
+    if (e1 != e1In) raise(s, c, off, levels, e1In, e1, W, ELMIN)
 
     // The extractor of a level is its nominal sum times 2^(52-M).
     val x   = pow2(FpD.M - M)
     val end = from + len
     var i   = from
     while (i < end) {
-      val m = math.min(V * NB, end - i)
-      if (i > from && e1 != EMPTY) propagateLanes(e1, W, ELMIN)
-      val mx = if (vd != null) maxBits(vd, i, m) else widen(vf, i, m)
-      if (mx >= hugeBits) return RsumBatchD.OutOfRange
-      if (mx != 0L) {
-        val req = requiredE1(java.lang.Double.longBitsToDouble(mx), M, W, E1MIN)
-        if (req > e1) { raiseLanes(e1, req, W, ELMIN); e1 = req }
-
-        if (vd != null) extract(vd, i, m, 0, nom(0) * x) else extract(rbuf, 0, m, 0, nom(0) * x)
-        var l = 1
-        while (l < levels) { extract(rbuf, 0, m, l, nom(l) * x); l += 1 }
-      }
-      i += m
-    }
-
-    // Exact horizontal merge back into the scalar state (Eqs. 2-3), with
-    // the last block's carry propagation folded in. A block moves a lane by
-    // at most NB * 2^(W-1) grid steps: ufp / 8 on double's grid, so a
-    // lane's deviation lies in [-1/8, 3/8] * ufp and the V = 4 deviations,
-    // multiples of ulp(ufp), sum exactly; 16 * ufp on float's grid, where
-    // the deviations are multiples of 2^(e-23) below 2^(e+6) and sum
-    // exactly too.
-    if (e1 != EMPTY) {
+      val m = Math.min(V * NB, end - i)
+      if (vd == null) { var t = 0; while (t < m) { rbuf(t) = vf(i + t); t += 1 } }
       var l = 0
       while (l < levels) {
-        val e      = eOf(e1, l, W, ELMIN)
-        var devTot = 0.0
-        var v = l * V
-        while (v < (l + 1) * V) { devTot += ls(v) - nom(l); v += 1 }
-        val k = Math.floor(devTot * pow2(2 - e))
-        s(off + l) = nom(l) + (devTot - k * pow2(e - 2))
-        c(off + l) = lc(l) + k.toLong
+        val e   = eOf(e1, l, W, ELMIN)
+        val nom = 1.5 * pow2(e)
+        val dev =
+          if (l == 0 && vd != null) extract(vd, i, m, s(off), nom, nom * x)
+          else extract(rbuf, 0, m, s(off + l), nom, nom * x)
+        // Exact horizontal merge (Eqs. 2-3) and the block's carry
+        // propagation (Alg. 3 line 7), multiplying by the exact power of
+        // two 4 / ufp (see RsumD.propagate).
+        val k = Math.floor(dev * pow2(2 - e))
+        s(off + l) = nom + (dev - k * pow2(e - 2))
+        c(off + l) += k.toLong
         l += 1
       }
+      i += m
     }
     e1
   }

@@ -13,6 +13,9 @@ import repro.exec.{AggKind, PartitionAndAggregate}
   */
 object Fig9 {
 
+  private val GroupCounts = Seq(1 << 4, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
+  private final val Levels = 2
+
   final case class Row(groups: Int, nsByDepth: Seq[Double]) {
     def best: Int = nsByDepth.indexOf(nsByDepth.min)
   }
@@ -29,24 +32,21 @@ object Fig9 {
     }
   }
 
-  def run(n: Int = 1 << 22,
-          groupCounts: Seq[Int] = Seq(1 << 4, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20),
-          levels: Int = 2, warmup: Int = 1, reps: Int = 3,
-          buffered: Boolean = true): Result = {
+  def run(buffered: Boolean = true): Result = {
     import Timing._
-    val vals = SynthData.localUniformValues(n, 901)
-    val rows = groupCounts.map { g =>
-      val keys = SynthData.localUniformKeys(n, g, 900 + g)
+    val vals = SynthData.localUniformValues(N, 901)
+    val rows = GroupCounts.map { g =>
+      val keys = SynthData.localUniformKeys(N, g, 900 + g)
       val times = (0 to 2).map { d =>
         val kind =
-          if (buffered) AggKind.BufD(levels, PartitionAndAggregate.bszFor(g, 1 << (8 * d), 8))
+          if (buffered) AggKind.BufD(Levels, PartitionAndAggregate.bszFor(g, 1 << (8 * d), 8))
           else AggKind.PlainD
-        nsPerElement(n, warmup, reps) {
+        nsPerElement(N) {
           PartitionAndAggregate.run(keys, vals, g, d, kind)._2.sum
         }
       }
       Row(g, times)
     }
-    Result(rows, if (buffered) s"repro<double,$levels>+buf" else "double")
+    Result(rows, if (buffered) s"repro<double,$Levels>+buf" else "double")
   }
 }

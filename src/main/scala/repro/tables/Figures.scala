@@ -24,14 +24,14 @@ object Fig4 {
     }
   }
 
-  def run(n: Int = 1 << 22, warmup: Int = 1, reps: Int = 3): Result = {
+  def run(): Result = {
     import Timing._
     val g = 16
-    val keys = SynthData.localUniformKeys(n, g, 501)
-    val valsD = SynthData.localUniformValues(n, 502)
+    val keys = SynthData.localUniformKeys(N, g, 501)
+    val valsD = SynthData.localUniformValues(N, 502)
     val valsF = SynthData.toFloats(valsD)
 
-    def t(kind: AggKind): Double = nsPerElement(n, warmup, reps) {
+    def t(kind: AggKind): Double = nsPerElement(N) {
       kind match {
         case AggKind.PlainF | AggKind.ReproF(_) | AggKind.BufF(_, _) =>
           PartitionAndAggregate.runF(keys, valsF, g, 0, kind)._2.sum
@@ -42,10 +42,11 @@ object Fig4 {
 
     val baseD = t(AggKind.PlainD)
     val baseF = t(AggKind.PlainF)
+    val dec = t(AggKind.Dec64)
     val rows = Seq(
       Row("double", baseD, 1.0),
       Row("float", baseF, baseF / baseF),
-      Row("DECIMAL(19)", t(AggKind.Dec64), t(AggKind.Dec64) / baseD)) ++
+      Row("DECIMAL(19)", dec, dec / baseD)) ++
       (1 to 4).map { l => val x = t(AggKind.ReproD(l)); Row(s"repro<double,$l>", x, x / baseD) } ++
       (1 to 4).map { l => val x = t(AggKind.ReproF(l)); Row(s"repro<float,$l>", x, x / baseF) }
     Result(rows)
@@ -60,6 +61,21 @@ object Fig4 {
   */
 object Fig6 {
 
+  /** [[run]]'s levels, and unmeasured and measured runs per timing. */
+  private final val Levels = 2
+  private final val Warmup = 2
+  private final val Reps = 5
+
+  /** [[crossover]]'s chunk lengths, levels, input values, states, and
+    * unmeasured and measured runs per timing.
+    */
+  private val CrossoverChunks = Seq(4, 6, 8, 10, 12, 14, 16, 20, 24, 32)
+  private val CrossoverLevels = Seq(2, 4)
+  private final val CrossoverN = 1 << 18
+  private final val CrossoverStates = 1024
+  private final val CrossoverWarmup = 5
+  private final val CrossoverReps = 9
+
   final case class Row(chunk: Int, scalarSlowdown: Double, simdSlowdown: Double)
   final case class Result(rows: Seq[Row], convNs: Double, simdInfSlowdown: Double) {
     def render: String = {
@@ -73,23 +89,23 @@ object Fig6 {
     }
   }
 
-  def run(n: Int = 1 << 22, levels: Int = 2, warmup: Int = 2, reps: Int = 5): Result = {
+  def run(): Result = {
     import Timing._
-    val vals = SynthData.localUniformValues(n, 601)
+    val vals = SynthData.localUniformValues(N, 601)
 
-    val convNs = nsPerElement(n, warmup, reps) {
+    val convNs = nsPerElement(N, Warmup, Reps) {
       var acc = 0.0; var i = 0
-      while (i < n) { acc += vals(i); i += 1 }
+      while (i < N) { acc += vals(i); i += 1 }
       acc
     }
 
-    def scalarChunked(c: Int): Double = nsPerElement(n, warmup, reps) {
+    def scalarChunked(c: Int): Double = nsPerElement(N, Warmup, Reps) {
       // fresh state per chunk: mimics switching between groups
       var acc = 0.0
       var i = 0
-      while (i < n) {
-        val end = math.min(i + c, n)
-        val st = new ReproDouble(levels)
+      while (i < N) {
+        val end = math.min(i + c, N)
+        val st = new ReproDouble(Levels)
         while (i < end) { st.add(vals(i)); i += 1 }
         acc += st.value
       }
@@ -99,15 +115,15 @@ object Fig6 {
     // The kernel itself: `ReproDouble.addBatch` takes the scalar path below
     // this crossover (FpD.BatchMin).
     def simdChunked(c: Int): Double = {
-      val scratch = new RsumBatchD(levels)
-      nsPerElement(n, warmup, reps) {
+      val scratch = new RsumBatchD(Levels)
+      nsPerElement(N, Warmup, Reps) {
         var acc = 0.0
         var i = 0
-        while (i < n) {
-          val len = math.min(c, n - i)
-          val s = new Array[Double](levels)
-          val cs = new Array[Long](levels)
-          acc += RsumD.eval(s, cs, 0, levels, scratch.run(vals, i, len, s, cs, 0, RsumD.EMPTY))
+        while (i < N) {
+          val len = math.min(c, N - i)
+          val s = new Array[Double](Levels)
+          val cs = new Array[Long](Levels)
+          acc += RsumD.eval(s, cs, 0, Levels, scratch.run(vals, i, len, s, cs, 0, RsumD.EMPTY))
           i += len
         }
         acc
@@ -116,7 +132,7 @@ object Fig6 {
 
     val chunks = Seq(4, 12, 48, 128, 512, 4096)
     val rows = chunks.map(c => Row(c, scalarChunked(c) / convNs, simdChunked(c) / convNs))
-    val inf = simdChunked(n) / convNs
+    val inf = simdChunked(N) / convNs
     Result(rows, convNs, inf)
   }
 
@@ -135,28 +151,27 @@ object Fig6 {
     }
   }
 
-  /** The crossover behind `FpD.BatchMin`: `n` mixed-magnitude values
-    * (doubles, or the same narrowed to float) added chunk by chunk into
-    * `states` states taken round robin, through `RsumD.add` one value at a
-    * time and through `RsumBatchD.run` one chunk at a time; the median of
-    * `reps` after `warmup` passes.
+  /** The crossover behind `FpD.BatchMin`: `CrossoverN` mixed-magnitude
+    * values (doubles, or the same narrowed to float) added chunk by chunk
+    * into `CrossoverStates` states taken round robin, through `RsumD.add`
+    * one value at a time and through `RsumBatchD.run` one chunk at a time;
+    * the median of `CrossoverReps` after `CrossoverWarmup` passes.
     */
-  def crossover(chunks: Seq[Int] = Seq(4, 6, 8, 10, 12, 14, 16, 20, 24, 32),
-                levels: Seq[Int] = Seq(2, 4), n: Int = 1 << 18, states: Int = 1024,
-                warmup: Int = 5, reps: Int = 9): Crossover = {
+  def crossover(): Crossover = {
     import Timing._
-    val vd = SynthData.localMixedValues(n, 602)
+    val vd = SynthData.localMixedValues(CrossoverN, 602)
     val vf = SynthData.toFloats(vd)
 
     def nsD(c: Int, l: Int, batch: Boolean): Double = {
       val k = new RsumBatchD(l)
-      nsPerElement(n / c * c, warmup, reps) {
-        val (s, cs, e) = (new Array[Double](states * l), new Array[Long](states * l), Array.fill(states)(RsumD.EMPTY))
+      nsPerElement(CrossoverN / c * c, CrossoverWarmup, CrossoverReps) {
+        val (s, cs, e) = (new Array[Double](CrossoverStates * l), new Array[Long](CrossoverStates * l),
+                          Array.fill(CrossoverStates)(RsumD.EMPTY))
         var i = 0; var st = 0
-        while (i + c <= n) {
+        while (i + c <= CrossoverN) {
           if (batch) e(st) = k.run(vd, i, c, s, cs, st * l, e(st))
           else { var j = i; while (j < i + c) { e(st) = RsumD.add(s, cs, st * l, l, e(st), vd(j)); j += 1 } }
-          st = (st + 1) % states
+          st = (st + 1) % CrossoverStates
           i += c
         }
         RsumD.eval(s, cs, 0, l, e(0))
@@ -166,23 +181,24 @@ object Fig6 {
     // Floats on float's grid: the same kernels, given float's grid.
     def nsF(c: Int, l: Int, batch: Boolean): Double = {
       val k = new RsumBatchD(l)
-      nsPerElement(n / c * c, warmup, reps) {
-        val (s, cs, e) = (new Array[Double](states * l), new Array[Long](states * l), Array.fill(states)(RsumD.EMPTY))
+      nsPerElement(CrossoverN / c * c, CrossoverWarmup, CrossoverReps) {
+        val (s, cs, e) = (new Array[Double](CrossoverStates * l), new Array[Long](CrossoverStates * l),
+                          Array.fill(CrossoverStates)(RsumD.EMPTY))
         var i = 0; var st = 0
-        while (i + c <= n) {
+        while (i + c <= CrossoverN) {
           if (batch) e(st) = k.run(vf, i, c, s, cs, st * l, e(st))
           else { var j = i; while (j < i + c) { e(st) = RsumD.add(s, cs, st * l, l, e(st), vf(j), FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN); j += 1 } }
-          st = (st + 1) % states
+          st = (st + 1) % CrossoverStates
           i += c
         }
         RsumD.eval(s, cs, 0, l, e(0), FpF.M, FpF.W, FpF.ELMIN)
       }
     }
 
-    val cols = for (p <- Seq("double", "float"); l <- levels) yield (p, l)
-    val ns = chunks.map(c => cols.map { case (p, l) =>
+    val cols = for (p <- Seq("double", "float"); l <- CrossoverLevels) yield (p, l)
+    val ns = CrossoverChunks.map(c => cols.map { case (p, l) =>
       if (p == "double") (nsD(c, l, false), nsD(c, l, true)) else (nsF(c, l, false), nsF(c, l, true))
     })
-    Crossover(chunks, cols, ns)
+    Crossover(CrossoverChunks, cols, ns)
   }
 }

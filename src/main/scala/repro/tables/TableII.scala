@@ -49,13 +49,16 @@ object TableII {
 
   private val Eps = math.pow(2.0, -53)
 
-  def run(seed: Long = 7): Result = {
+  /** Seed of the U[1,2) data; the Exp(1) data uses the next one. */
+  private final val Seed = 7L
+
+  def run(): Result = {
     val ns = Seq(1000, 1000000)
     val dists = Seq("U[1,2)", "Exp(1)")
 
     def data(n: Int, dist: String): Array[Double] = dist match {
-      case "U[1,2)" => SynthData.localUniformValues(n, seed)
-      case "Exp(1)" => SynthData.localExpValues(n, seed + 1)
+      case "U[1,2)" => SynthData.localUniformValues(n, Seed)
+      case "Exp(1)" => SynthData.localExpValues(n, Seed + 1)
     }
 
     def exact(vals: Array[Double]): BigDecimal =

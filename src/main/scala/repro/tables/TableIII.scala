@@ -18,9 +18,7 @@ import repro.exec.{AggKind, PartitionAndAggregate}
   */
 object TableIII {
 
-  final case class Config(n: Int = 1 << 22,
-                          groupCounts: Seq[Int] = Seq(1 << 4, 1 << 8, 1 << 12, 1 << 16, 1 << 20),
-                          warmup: Int = 1, reps: Int = 3)
+  private val GroupCounts = Seq(1 << 4, 1 << 8, 1 << 12, 1 << 16, 1 << 20)
 
   final case class TypeResult(name: String, perGroupSlowdown: Seq[(Int, Double)], geomean: Double)
   final case class Result(types: Seq[TypeResult], baselineNs: Map[(String, Int), Double]) {
@@ -53,31 +51,30 @@ object TableIII {
   def builtinDepthFor(nGroups: Int): Int =
     if (nGroups < (1 << 18)) 0 else if (nGroups < (1 << 25)) 1 else 2
 
-  def run(cfg: Config = Config()): Result = {
+  def run(): Result = {
     import Timing._
-    val n = cfg.n
-    val keysByG = cfg.groupCounts.map(g => g -> SynthData.localUniformKeys(n, g, 1000 + g)).toMap
-    val valsD = SynthData.localUniformValues(n, 77)
+    val keysByG = GroupCounts.map(g => g -> SynthData.localUniformKeys(N, g, 1000 + g)).toMap
+    val valsD = SynthData.localUniformValues(N, 77)
     val valsF = SynthData.toFloats(valsD)
 
     val baseline = scala.collection.mutable.Map[(String, Int), Double]()
-    for (g <- cfg.groupCounts) {
+    for (g <- GroupCounts) {
       val d = builtinDepthFor(g)
-      baseline(("double", g)) = nsPerElement(n, cfg.warmup, cfg.reps) {
+      baseline(("double", g)) = nsPerElement(N) {
         PartitionAndAggregate.run(keysByG(g), valsD, g, d, AggKind.PlainD)._2.sum
       }
-      baseline(("float", g)) = nsPerElement(n, cfg.warmup, cfg.reps) {
+      baseline(("float", g)) = nsPerElement(N) {
         PartitionAndAggregate.runF(keysByG(g), valsF, g, d, AggKind.PlainF)._2.sum
       }
     }
 
     def buffered(scalar: String, l: Int): TypeResult = {
-      val per = cfg.groupCounts.map { g =>
+      val per = GroupCounts.map { g =>
         val d = PartitionAndAggregate.depthFor(g)
         val fanout = 1 << (8 * d)
         val bytes = if (scalar == "double") 8 else 4
         val bsz = PartitionAndAggregate.bszFor(g, fanout, bytes)
-        val t = nsPerElement(n, cfg.warmup, cfg.reps) {
+        val t = nsPerElement(N) {
           if (scalar == "double")
             PartitionAndAggregate.run(keysByG(g), valsD, g, d, AggKind.BufD(l, bsz))._2.sum
           else

@@ -45,12 +45,18 @@ object TableIV {
     "repro<d,4> with buffer"  -> (38.7, 64.0, 102.7),
     "double (sorted)"         -> (45.1, 682.1, 727.2))
 
-  final case class Config(sf: Double = 0.1, levels: Int = 4, bsz: Int = 256,
-                          warmup: Int = 3, reps: Int = 7)
+  /** Scale factor, levels and buffer size of the repro variants, and
+    * unmeasured and measured rounds.
+    */
+  private final val Sf = 0.1
+  private final val Levels = 4
+  private final val Bsz = 256
+  private final val Warmup = 3
+  private final val Reps = 7
 
-  def run(spark: SparkSession, cfg: Config = Config()): Result = {
+  def run(spark: SparkSession): Result = {
     ReproFunctions.register(spark)
-    val lineitem = SynthData.lineitem(spark, cfg.sf).cache()
+    val lineitem = SynthData.lineitem(spark, Sf).cache()
     lineitem.createOrReplaceTempView("lineitem")
     lineitem.count() // materialize the cache
     TpchQ1.registerSorted(spark)
@@ -61,8 +67,8 @@ object TableIV {
     val thunks: Seq[(String, () => Unit)] = Seq(
       "other"    -> (() => { TpchQ1.otherOnly(spark).collect(); () }),
       "double"   -> (() => { TpchQ1.double(spark).collect(); () }),
-      "noBuffer" -> (() => { TpchQ1.reproNoBuffer(spark, cfg.levels).collect(); () }),
-      "buffered" -> (() => { TpchQ1.reproBuffered(spark, cfg.levels, cfg.bsz).collect(); () }),
+      "noBuffer" -> (() => { TpchQ1.reproNoBuffer(spark, Levels).collect(); () }),
+      "buffered" -> (() => { TpchQ1.reproBuffered(spark, Levels, Bsz).collect(); () }),
       // the sorted baseline pays the sort on every execution (that is the
       // point: reproducibility via ordering is paid per query)
       "sorted"   -> (() => {
@@ -70,15 +76,15 @@ object TableIV {
         TpchQ1.sortedDouble(spark).collect(); ()
       }))
 
-    for (_ <- 1 to cfg.warmup; (_, t) <- thunks) t()
-    val samples = Map(thunks.map { case (n, _) => n -> new Array[Long](cfg.reps) }: _*)
-    for (r <- 0 until cfg.reps; (n, t) <- thunks) {
+    for (_ <- 1 to Warmup; (_, t) <- thunks) t()
+    val samples = Map(thunks.map { case (n, _) => n -> new Array[Long](Reps) }: _*)
+    for (r <- 0 until Reps; (n, t) <- thunks) {
       val t0 = System.nanoTime()
       t()
       samples(n)(r) = System.nanoTime() - t0
     }
     def med(n: String): Double = {
-      val a = samples(n).clone(); java.util.Arrays.sort(a); a(cfg.reps / 2).toDouble
+      val a = samples(n).clone(); java.util.Arrays.sort(a); a(Reps / 2).toDouble
     }
 
     val tOther    = med("other")

@@ -7,6 +7,12 @@ package repro.tables
   */
 object Timing {
 
+  /** Input size of the kernel and operator runners: the paper's n = 2^30,
+    * scaled down so that each table runs in minutes (DESIGN.md,
+    * Substitutions).
+    */
+  final val N = 1 << 22
+
   @volatile var blackhole: Double = 0.0
 
   def medianNs(warmup: Int, reps: Int)(body: => Double): Double = {

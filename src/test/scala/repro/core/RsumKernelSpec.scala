@@ -134,7 +134,8 @@ class RsumKernelSpec extends AnyFunSuite {
   }
 
   // At the first value, in the tail after the last full group of V lanes
-  // (n = 19), and in a block after the first.
+  // (n = 19), and past the first `tile` values (past the kernel's first
+  // block for `tile = V * NB`).
   private def placements(tile: Int): Seq[(Int, Int)] = Seq((20, 0), (19, 17), (tile + 20, tile + 5))
 
   test("RsumBatchD.run refuses huge, ±Inf and NaN values and leaves the caller's state untouched") {
@@ -161,7 +162,7 @@ class RsumKernelSpec extends AnyFunSuite {
     val specials = Seq(ReproFloat.HugeThreshold, math.pow(2.0, 125).toFloat, -Float.MaxValue,
                        Float.PositiveInfinity, Float.NegativeInfinity, Float.NaN)
     val k = new RsumBatchD(2)
-    for (sp <- specials; (n, at) <- placements(64); start <- startsF(2)) {
+    for (sp <- specials; (n, at) <- (placements(64) ++ placements(FpD.V * FpD.NB)).distinct; start <- startsF(2)) {
       val vals = Array.fill(n)(1.5f)
       vals(at) = sp
       val (s, c) = (start._1.map(_.toDouble), start._2.clone)
