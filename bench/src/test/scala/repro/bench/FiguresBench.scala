@@ -33,9 +33,9 @@ class Fig4Bench extends AnyFunSuite {
 }
 
 /** Supporting experiment behind §VI-B2/Fig. 6: chunked RSUM. The batched
-  * kernel has start-up cost (state load/store per call), so it loses to the
-  * scalar kernel on tiny chunks and approaches its single-call throughput
-  * for large ones.
+  * kernel has a cost per call (a range scan, and a fold per level), so it
+  * can lose to the scalar kernel on the tiniest chunks, and it approaches
+  * its single-call throughput for large ones.
   */
 class Fig6Bench extends AnyFunSuite {
 
@@ -45,7 +45,7 @@ class Fig6Bench extends AnyFunSuite {
     println(res.render)
   }
 
-  test("render the scalar/batched crossover behind FpD.BatchMin") {
+  test("render the scalar/batched crossover") {
     println(Fig6.crossover().render)
   }
 

@@ -11,7 +11,9 @@ import repro.exec.ReproFTable;
   * change frame often, and a ReproFTable loop on the same values as floats.
   * A BufDTable loop on the U[1,2) values (bsz 128) keeps the batched kernel
   * hot in the same JVM, as the benchmark's buffered modes do; the kernel
-  * and the scalar add's cold path share RsumD.raise. See
+  * and the scalar add's cold path share RsumD.raise. A second BufDTable
+  * (bsz 32) takes about 4 rows per group, as a paa-wide partition does, so
+  * its emit flushes short chunks through the kernel's tail. See
   * jit-inline-check.sh.
   */
 public class JitInlineCheck {
@@ -25,6 +27,11 @@ public class JitInlineCheck {
     ReproDTable mixedTable = new ReproDTable(2 * groups, levels);
     ReproFTable floatTable = new ReproFTable(2 * groups, levels);
     BufDTable bufTable = new BufDTable(2 * groups, levels, 128);
+    int wideGroups = n / 4;
+    int[] wideKeys = SynthData.localUniformKeys(n, wideGroups, 4);
+    BufDTable shortTable = new BufDTable(2 * wideGroups, levels, 32);
+    int[] wideOutKeys = new int[wideGroups];
+    double[] wideOutVals = new double[wideGroups];
     int[] outKeys = new int[groups];
     double[] outVals = new double[groups];
     double sink = 0;
@@ -38,6 +45,9 @@ public class JitInlineCheck {
       bufTable.reset();
       bufTable.aggregate(keys, vals, 0, n, 0);
       sink += outVals[bufTable.emit(outKeys, outVals, 0) - 1];
+      shortTable.reset();
+      shortTable.aggregate(wideKeys, vals, 0, n, 0);
+      sink += wideOutVals[shortTable.emit(wideOutKeys, wideOutVals, 0) - 1];
       floatTable.reset();
       floatTable.aggregate(keys, mixedF, 0, n, 0);
       sink += outVals[floatTable.emit(outKeys, outVals, 0) - 1];

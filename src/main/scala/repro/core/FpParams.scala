@@ -19,10 +19,9 @@ package repro.core
   * lane may take up to `2^(M-W-1)` values. We use `NB = 2^(M-W-2)` for
   * margin, so lane 0, which also takes the block's tail, stays within the
   * bound with its `NB + V - 1` values. On float's grid a lane held in a
-  * double has 29 spare bits, so the same tile is safe by far.
-  * `BatchMin` is the shortest chunk the batched kernel takes: below it the
-  * per-call lane set-up and horizontal merge cost more than the scalar
-  * path saves (Fig. 6 crossover, EXPERIMENTS.md).
+  * double has 29 spare bits, so the same tile is safe by far. Every
+  * summation-buffer flush, however short, runs through the batched kernel
+  * (Fig. 6 crossover, EXPERIMENTS.md).
   *
   * Every parameter is a `final val` of a constant expression without a type
   * annotation, so scalac inlines it as a constant and C2 folds it (lane
@@ -33,7 +32,6 @@ object FpD {
   final val W = 40
   final val NB = 1 << (M - W - 2)
   final val V = 4
-  final val BatchMin = 8
 
   /** Lowest admissible level-1 extractor exponent (a multiple of W so the
     * global exponent grid stays aligned across independently built states).

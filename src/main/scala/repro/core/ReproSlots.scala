@@ -176,12 +176,12 @@ final class ReproSlotsD(n: Int, levels: Int) extends ReproSlots[ReproSlotsD](n, 
 
   /** Add `values(from until from+len)` to slot `i` through the batched
     * kernel; the state is bit-identical to adding the values one by one.
-    * A batch shorter than [[FpD.BatchMin]], or one the kernel refuses
-    * because it holds a huge or non-finite value, is routed per value.
+    * A batch the kernel refuses, because it holds a huge or non-finite
+    * value, is routed per value.
     */
   def addBatch(i: Int, values: Array[Double], from: Int, len: Int, scratch: RsumBatchD): Unit = {
     require(scratch.levels == levels, "scratch lane width mismatch")
-    val e = if (len >= BatchMin) scratch.run(values, from, len, s, c, i * levels, e1(i)) else RsumBatchD.OutOfRange
+    val e = scratch.run(values, from, len, s, c, i * levels, e1(i))
     if (e != RsumBatchD.OutOfRange) e1(i) = e
     else {
       var j = from
@@ -224,7 +224,7 @@ final class ReproSlotsF(n: Int, levels: Int) extends ReproSlots[ReproSlotsF](n, 
 
   def addBatch(i: Int, values: Array[Float], from: Int, len: Int, scratch: RsumBatchD): Unit = {
     require(scratch.levels == levels, "scratch lane width mismatch")
-    val e = if (len >= FpD.BatchMin) scratch.run(values, from, len, s, c, i * levels, e1(i)) else RsumBatchD.OutOfRange
+    val e = scratch.run(values, from, len, s, c, i * levels, e1(i))
     if (e != RsumBatchD.OutOfRange) e1(i) = e
     else {
       var j = from

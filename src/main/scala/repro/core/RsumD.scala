@@ -12,11 +12,14 @@ package repro.core
   * The algorithm's only precision-dependent inputs are the grid parameters
   * `(M, W, E1MIN, ELMIN)` of [[FpD]] or [[FpF]], which these functions take
   * as arguments. The entry points ([[ReproSlotsD]], [[ReproSlotsF]],
-  * [[RsumBatchD.run]]) pass them as literal constants, so C2 folds them once
-  * it has inlined the function. The arithmetic is double on both grids. On
-  * float's grid the state (running sums narrowed to float, carries, `e1`)
-  * is binary32 RSUM's, bit for bit: level `l`'s extractor becomes
-  * `1.5 * 2^(e+29)`, whose ulp is float's grid step `2^(e-23)`, so both
+  * [[RsumBatchD.run]]) pass them as literal constants, so C2 folds them
+  * where it inlines the function: in the scalar `add` path, and in the
+  * batched kernel's prologue (frame and raise). The batched kernel's block
+  * loop is compiled on its own, too big to inline, and reads the grid as
+  * arguments once per block and level. The arithmetic is double on both
+  * grids. On float's grid the state (running sums narrowed to float,
+  * carries, `e1`) is binary32 RSUM's, bit for bit: level `l`'s extractor
+  * becomes `1.5 * 2^(e+29)`, whose ulp is float's grid step `2^(e-23)`, so both
   * round a value to the same grid with an extractor that is an even
   * multiple of the step, round-half-even picks the same `q`, and every
   * other step is exact in both. The running sums stay on float's grid and
@@ -232,7 +235,9 @@ object RsumD {
   * deviation back into the state's sum and carry: the horizontal merge and
   * the tile's carry propagation in one step. Level 0 reads the caller's
   * doubles, or the block's floats widened into `rbuf`, and each level
-  * leaves its remainders in `rbuf` for the next.
+  * leaves its remainders in `rbuf` for the next. A call of any length, a
+  * lone value included, costs one scan, at most one raise and one fold per
+  * level and block, so every summation-buffer flush takes this path.
   *
   * The resulting state is bit-identical to feeding the same values through
   * [[RsumD.add]] one by one (both capture the identical exact content and
@@ -292,22 +297,24 @@ final class RsumBatchD(val levels: Int) {
 
   /** Lane-striped extraction of one block at one level (Alg. 3 lines 5-6)
     * against the fixed extractor `a`: value `t` of the block, read at
-    * `src(from + t)`, feeds lane `t mod V`, or lane 0 in the block's tail,
-    * and leaves its remainder in `rbuf(t)` for the next level. Lane 0
-    * starts at `s0`, the others at the nominal `nom`; returns the lanes'
-    * total deviation from `nom`. A lane takes at most `NB + V - 1` values,
-    * each of at most `2^(W-1)` grid steps, so it stays inside `(1, 2) * ufp`
-    * and every step is exact: on double's grid a lane moves by at most
-    * `ufp / 8` (and a bit) from a deviation in `[0, 0.25 * ufp)`, so the
-    * four deviations, multiples of the grid step, sum exactly to less than
-    * `ufp` in magnitude; on
-    * float's grid a lane moves by at most `16 * ufp` (and a bit), and a
-    * lane held in a double has 29 spare bits.
+    * `src(from + t)`, feeds lane `t mod V` and leaves its remainder in
+    * `rbuf(t)` for the next level; the block's `m mod V` last values go to
+    * [[tail]]. Lane 0 starts at `s0`, the others at the nominal `nom`;
+    * returns the lanes' and the tail's total deviation from `nom`. A lane
+    * takes at most `NB` values, lane 0 with the tail at most `NB + V - 1`,
+    * each of at most `2^(W-1)` grid steps, so it stays inside
+    * `(1, 2) * ufp` and every step is exact: on double's grid a lane moves
+    * by at most `ufp / 8` (and a bit) from a deviation in
+    * `[0, 0.25 * ufp)`, so the four deviations and the tail, multiples of
+    * the grid step, sum exactly to less than `ufp` in magnitude; on float's
+    * grid a lane moves by at most `16 * ufp` (and a bit), and a lane held
+    * in a double has 29 spare bits.
     */
   private def extract(src: Array[Double], from: Int, m: Int, s0: Double, nom: Double, a: Double): Double = {
     var l0 = s0; var l1 = nom; var l2 = nom; var l3 = nom
+    val body = m & -V
     var t = 0
-    while (t < (m & -V)) {
+    while (t < body) {
       val p = from + t
       val r0 = src(p);     val q0 = (r0 + a) - a; rbuf(t) = r0 - q0;     l0 += q0
       val r1 = src(p + 1); val q1 = (r1 + a) - a; rbuf(t + 1) = r1 - q1; l1 += q1
@@ -315,35 +322,53 @@ final class RsumBatchD(val levels: Int) {
       val r3 = src(p + 3); val q3 = (r3 + a) - a; rbuf(t + 3) = r3 - q3; l3 += q3
       t += V
     }
-    while (t < m) {
-      val r = src(from + t)
-      val q = (r + a) - a
-      rbuf(t) = r - q
-      l0 += q
-      t += 1
-    }
-    ((l0 - nom) + (l1 - nom)) + ((l2 - nom) + (l3 - nom))
+    val dev = ((l0 - nom) + (l1 - nom)) + ((l2 - nom) + (l3 - nom))
+    if (m == body) dev else dev + tail(src, from, body, m - body, a)
+  }
+
+  /** The extraction of the `n` (1 to `V - 1`) values of a block from `t`
+    * on, without a loop; returns the sum of their grid parts, which is
+    * exact. A method of its own, so that [[extract]] stays small enough for
+    * C2 to inline.
+    */
+  private def tail(src: Array[Double], from: Int, t: Int, n: Int, a: Double): Double = {
+    val p = from + t
+    val r0 = src(p); val q0 = (r0 + a) - a; rbuf(t) = r0 - q0
+    if (n == 1) return q0
+    val r1 = src(p + 1); val q1 = (r1 + a) - a; rbuf(t + 1) = r1 - q1
+    if (n == 2) return q0 + q1
+    val r2 = src(p + 2); val q2 = (r2 + a) - a; rbuf(t + 2) = r2 - q2
+    (q0 + q1) + q2
   }
 
   /** [[run]] on the grid `(M, W, E1MIN, ELMIN)`, over `vd` or, when that is
     * null, `vf`; `hugeBits` are the bits of the smallest `|b|` out of range.
+    * This is the prologue, the range scan, the frame and one raise, small
+    * enough for C2 to inline into each `run` and fold its grid; the block
+    * loop [[deposit]] is compiled on its own.
     */
   private def runOn(vd: Array[Double], vf: Array[Float], from: Int, len: Int,
                     s: Array[Double], c: Array[Long], off: Int, e1In: Int,
                     M: Int, W: Int, E1MIN: Int, ELMIN: Int, hugeBits: Long): Int = {
-    if (len <= 0) return e1In
     val mx = if (vd != null) maxBits(vd, from, len) else maxBits(vf, from, len)
     if (mx >= hugeBits) return RsumBatchD.OutOfRange
     if (mx == 0L) return e1In
     // One frame for the whole call (Alg. 3 lines 1-4).
     val e1 = Math.max(e1In, requiredE1(java.lang.Double.longBitsToDouble(mx), M, W, E1MIN))
     if (e1 != e1In) raise(s, c, off, levels, e1In, e1, W, ELMIN)
+    deposit(vd, vf, from, from + len, s, c, off, e1, M, W, ELMIN)
+    e1
+  }
 
+  /** Alg. 3 lines 5-7 on `from until end` (not empty) at the frame `e1`,
+    * one block of at most `V * NB` values after the other.
+    */
+  private def deposit(vd: Array[Double], vf: Array[Float], from: Int, end: Int,
+                      s: Array[Double], c: Array[Long], off: Int, e1: Int, M: Int, W: Int, ELMIN: Int): Unit = {
     // The extractor of a level is its nominal sum times 2^(52-M).
-    val x   = pow2(FpD.M - M)
-    val end = from + len
-    var i   = from
-    while (i < end) {
+    val x = pow2(FpD.M - M)
+    var i = from
+    do {
       val m = Math.min(V * NB, end - i)
       if (vd == null) { var t = 0; while (t < m) { rbuf(t) = vf(i + t); t += 1 } }
       var l = 0
@@ -362,8 +387,7 @@ final class RsumBatchD(val levels: Int) {
         l += 1
       }
       i += m
-    }
-    e1
+    } while (i < end)
   }
 }
 

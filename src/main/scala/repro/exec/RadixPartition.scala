@@ -26,12 +26,12 @@ object RadixPartition {
     b
   }
 
-  /** One stable scatter pass on byte `(key >>> shift) & 255`; the input is
-    * only read.
+  /** One stable scatter pass on byte `(key >>> shift) & 255`: the input is
+    * only read, and `next(b)` is where the keys of byte `b` start (the
+    * input's [[bounds]] at `shift`), advanced as they are written.
     */
   def pass(keysIn: Array[Int], valsIn: Array[Double],
-           keysOut: Array[Int], valsOut: Array[Double], shift: Int): Unit = {
-    val next = bounds(keysIn, shift, 255)
+           keysOut: Array[Int], valsOut: Array[Double], shift: Int, next: Array[Int]): Unit = {
     var i = 0
     while (i < keysIn.length) {
       val b = (keysIn(i) >>> shift) & 255
@@ -45,8 +45,7 @@ object RadixPartition {
 
   /** Float-valued variant of [[pass]]. */
   def passF(keysIn: Array[Int], valsIn: Array[Float],
-            keysOut: Array[Int], valsOut: Array[Float], shift: Int): Unit = {
-    val next = bounds(keysIn, shift, 255)
+            keysOut: Array[Int], valsOut: Array[Float], shift: Int, next: Array[Int]): Unit = {
     var i = 0
     while (i < keysIn.length) {
       val b = (keysIn(i) >>> shift) & 255
@@ -79,21 +78,25 @@ object RadixPartition {
 
   /** The level loop of both precisions: the first pass reads the caller's
     * arrays, later ones ping-pong between (at most two) fresh output pairs.
+    * The partition boundaries count the input keys, since counts do not
+    * depend on order; at `d == 1` they are the one pass's own bounds.
     */
   private def levels[V](keys: Array[Int], values: V, d: Int, alloc: Int => V,
-                        scatter: (Array[Int], V, Array[Int], V, Int) => Unit): Partitioned[V] = {
+                        scatter: (Array[Int], V, Array[Int], V, Int, Array[Int]) => Unit): Partitioned[V] = {
     require(d >= 0 && d <= 3, s"partition depth must be in [0,3], got $d")
     val n = keys.length
     if (d == 0) return Partitioned(keys, values, Array(0, n))
+    val offsets = bounds(keys, 0, (1 << (8 * d)) - 1)
     val out = Seq.fill(math.min(d, 2))((new Array[Int](n), alloc(n)))
     var kIn = keys; var vIn = values
     var level = 0
     while (level < d) {
       val (kOut, vOut) = out(level % 2)
-      scatter(kIn, vIn, kOut, vOut, 8 * level)
+      val next = if (d == 1) offsets.clone() else bounds(kIn, 8 * level, 255)
+      scatter(kIn, vIn, kOut, vOut, 8 * level, next)
       kIn = kOut; vIn = vOut
       level += 1
     }
-    Partitioned(kIn, vIn, bounds(kIn, 0, (1 << (8 * d)) - 1))
+    Partitioned(kIn, vIn, offsets)
   }
 }

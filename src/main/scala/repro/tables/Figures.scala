@@ -69,7 +69,7 @@ object Fig6 {
   /** [[crossover]]'s chunk lengths, levels, input values, states, and
     * unmeasured and measured runs per timing.
     */
-  private val CrossoverChunks = Seq(4, 6, 8, 10, 12, 14, 16, 20, 24, 32)
+  private val CrossoverChunks = Seq(1, 2, 3, 4, 6, 8, 10, 12, 14, 16, 20, 24, 32)
   private val CrossoverLevels = Seq(2, 4)
   private final val CrossoverN = 1 << 18
   private final val CrossoverStates = 1024
@@ -112,8 +112,7 @@ object Fig6 {
       acc
     }
 
-    // The kernel itself: `ReproDouble.addBatch` takes the scalar path below
-    // this crossover (FpD.BatchMin).
+    // The kernel itself, as `ReproDouble.addBatch` runs it at every length.
     def simdChunked(c: Int): Double = {
       val scratch = new RsumBatchD(Levels)
       nsPerElement(N, Warmup, Reps) {
@@ -151,7 +150,7 @@ object Fig6 {
     }
   }
 
-  /** The crossover behind `FpD.BatchMin`: `CrossoverN` mixed-magnitude
+  /** The scalar/batched crossover: `CrossoverN` mixed-magnitude
     * values (doubles, or the same narrowed to float) added chunk by chunk
     * into `CrossoverStates` states taken round robin, through `RsumD.add`
     * one value at a time and through `RsumBatchD.run` one chunk at a time;

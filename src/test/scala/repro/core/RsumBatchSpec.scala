@@ -130,8 +130,8 @@ class RsumBatchSpec extends AnyFunSuite {
   }
 
   /** 20 chunks of `n` finite values, one in four a zero or subnormal (the
-    * batched kernel runs them at `n >= BatchMin`), then one chunk per
-    * special value, holding it at a random position.
+    * batched kernel runs them), then one chunk per special value, holding
+    * it at a random position.
     */
   private def boundaryChunks(r: Random, n: Int, tiny: Double, specials: Seq[Double]): Seq[Array[Double]] = {
     def chunk() = Array.fill(n)(r.nextInt(4) match {
@@ -142,10 +142,14 @@ class RsumBatchSpec extends AnyFunSuite {
     Seq.fill(20)(chunk()) ++ specials.map { sp => val c = chunk(); c(r.nextInt(n)) = sp; c }
   }
 
+  // "BatchMin" in these names, and in the next test's, is the length 8
+  // below which `addBatch` once routed a chunk per value. Every length now
+  // takes the kernel; the names, the lengths (7, 8, 9 here, 1..8 there) and
+  // the seeds are kept.
   for (d <- -1 to 1; l <- Seq(1, 2, 4)) {
     val at = if (d == 0) "BatchMin" else f"BatchMin$d%+d"
     test(s"L=$l: ReproDouble.addBatch at len=$at == scalar bitwise, full domain") {
-      val n = FpD.BatchMin + d
+      val n = 8 + d
       val chunks = boundaryChunks(new Random(331L * n + l), n, Double.MinPositiveValue,
         Seq(Double.MaxValue, -3e300, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
       val (st, ref, scratch) = (new ReproDouble(l), new ReproDouble(l), new RsumBatchD(l))
@@ -157,7 +161,7 @@ class RsumBatchSpec extends AnyFunSuite {
     }
 
     test(s"L=$l: ReproFloat.addBatch at len=$at == scalar bitwise, full domain") {
-      val n = FpD.BatchMin + d
+      val n = 8 + d
       val chunks = boundaryChunks(new Random(337L * n + l), n, Float.MinPositiveValue.toDouble,
         Seq(Float.MaxValue.toDouble, -3e37, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN))
           .map(_.map(_.toFloat))
@@ -172,13 +176,45 @@ class RsumBatchSpec extends AnyFunSuite {
 
   test("the batched kernel itself == scalar RsumD.add for every length up to BatchMin") {
     val scratch = new RsumBatchD(2)
-    for (n <- 1 to FpD.BatchMin) {
+    for (n <- 1 to 8) {
       val vals = mixedMagnitudeVals(n, 341 + n)
       val (s, c) = (new Array[Double](2), new Array[Long](2))
       val e = scratch.run(vals, 0, n, s, c, 0, RsumD.EMPTY)
       val (rs, rc) = (new Array[Double](2), new Array[Long](2))
       val re = vals.foldLeft(RsumD.EMPTY)((e1, v) => RsumD.add(rs, rc, 0, 2, e1, v))
       assert(bits(RsumD.eval(s, c, 0, 2, e)) == bits(RsumD.eval(rs, rc, 0, 2, re)), s"n=$n")
+    }
+  }
+
+  // Every length from a lone value to two full lane groups and a tail, so
+  // the block's tail of 1 to V - 1 values runs at every level, from the
+  // empty state and from one framed far above the values, whose bits then
+  // reach the lower levels too.
+  for (l <- 1 to 4) {
+    val top = 2 * FpD.V + 3
+    test(s"L=$l: RsumBatchD.run == scalar RsumD.add/RsumFRef.add at every length 1..$top, empty and framed") {
+      val k = new RsumBatchD(l)
+      val pre = mixedMagnitudeVals(3, 371).map(_ * 1e9)
+      for (n <- 1 to top; framed <- Seq(false, true)) {
+        val vd = mixedMagnitudeVals(n, 373 + n)
+        val (s, c) = (new Array[Double](l), new Array[Long](l))
+        val e0 = if (framed) pre.foldLeft(RsumD.EMPTY)((e1, v) => RsumD.add(s, c, 0, l, e1, v)) else RsumD.EMPTY
+        val (rs, rc) = (s.clone, c.clone)
+        val re = vd.foldLeft(e0)((e1, v) => RsumD.add(rs, rc, 0, l, e1, v))
+        val e = k.run(vd, 0, n, s, c, 0, e0)
+        assert(e == re && java.util.Arrays.equals(s, rs) && java.util.Arrays.equals(c, rc),
+               s"double, n=$n, framed=$framed")
+
+        val vf = vd.map(_.toFloat)
+        val (fs, fc) = (new Array[Float](l), new Array[Long](l))
+        val f0 = if (framed) pre.foldLeft(RsumD.EMPTY)((e1, v) => RsumFRef.add(fs, fc, 0, l, e1, v.toFloat)) else RsumD.EMPTY
+        val (ws, wc) = (fs.map(_.toDouble), fc.clone)
+        val rf = vf.foldLeft(f0)((e1, v) => RsumFRef.add(fs, fc, 0, l, e1, v))
+        val f = k.run(vf, 0, n, ws, wc, 0, f0)
+        assert(ws.forall(x => x.toFloat.toDouble == x), s"float, n=$n, framed=$framed: sums off float's grid")
+        assert(f == rf && java.util.Arrays.equals(ws.map(_.toFloat), fs) && java.util.Arrays.equals(wc, fc),
+               s"float, n=$n, framed=$framed")
+      }
     }
   }
 }

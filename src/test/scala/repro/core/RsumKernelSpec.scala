@@ -4,9 +4,8 @@ import java.util.Arrays
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The batched kernel called directly. `addBatch` sends chunks shorter
-  * than `BatchMin` through the scalar path, so the unrolled lanes' tails,
-  * the single-level path and the block boundaries are tested here, against
+/** The batched kernel called directly: the unrolled lanes' tails, the
+  * single-level path and the block boundaries are tested here, against
   * the scalar kernel on the same state: `RsumD.add` for doubles and the
   * binary32 reference `RsumFRef.add` for floats (the float states are
   * widened for the kernel and must narrow back exactly). In the test
@@ -216,8 +215,9 @@ class RsumKernelSpec extends AnyFunSuite {
     val f = new ReproFloat(2)
     val kd = new RsumBatchD(2)
     val kf = new RsumBatchD(2)
-    // below, at and above BatchMin, and across a block boundary
-    val lens = Array(1, 7, 11, 12, 16, 100, 128, 1000, 4096)
+    // short chunks, whose tails run without a loop, long ones, and across
+    // a block boundary
+    val lens = Array(1, 2, 3, 7, 11, 12, 16, 100, 128, 1000, 4096)
     assert(allocatedBy { n =>
       var i = 0
       while (i < n) {
