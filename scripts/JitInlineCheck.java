@@ -1,4 +1,5 @@
 import repro.SynthData;
+import repro.core.BufferedReproDouble;
 import repro.core.ReproDouble;
 import repro.exec.BufDTable;
 import repro.exec.ReproDTable;
@@ -13,8 +14,9 @@ import repro.exec.ReproFTable;
   * hot in the same JVM, as the benchmark's buffered modes do; the kernel
   * and the scalar add's cold path share RsumD.raise. A second BufDTable
   * (bsz 32) takes about 4 rows per group, as a paa-wide partition does, so
-  * its emit flushes short chunks through the kernel's tail. See
-  * jit-inline-check.sh.
+  * its emit flushes short chunks through the kernel's tail. Two
+  * BufferedReproDouble add loops, at bsz 0 and bsz 256, drive the state of
+  * Spark's rsum and rsum_buffered aggregates. See jit-inline-check.sh.
   */
 public class JitInlineCheck {
   public static void main(String[] args) {
@@ -54,6 +56,12 @@ public class JitInlineCheck {
       ReproDouble st = new ReproDouble(levels);
       for (int i = 0; i < n; i++) st.add(vals[i]);
       sink += st.value();
+      BufferedReproDouble rsum = new BufferedReproDouble(levels, 0);
+      for (int i = 0; i < n; i++) rsum.add(vals[i]);
+      sink += rsum.value();
+      BufferedReproDouble rsumBuffered = new BufferedReproDouble(levels, 256);
+      for (int i = 0; i < n; i++) rsumBuffered.add(vals[i]);
+      sink += rsumBuffered.value();
     }
     System.out.println("checksum " + sink);
   }

@@ -8,9 +8,10 @@
 #
 # Builds the main sources with perfbench/build.py, runs JitInlineCheck.java
 # (ReproDTable loops on U[1,2) and on mixed-magnitude values, a ReproFTable
-# loop, a ReproDouble.add loop and two BufDTable loops, full flushes and
-# short ones at about 4 rows per group, that keep the batched kernel
-# compiled beside them) with -XX:+PrintInlining on the
+# loop, a ReproDouble.add loop, BufferedReproDouble.add loops at bsz 0 and
+# 256 (the state of Spark's rsum and rsum_buffered) and two BufDTable
+# loops, full flushes and short ones at about 4 rows per group, that keep
+# the batched kernel compiled beside them) with -XX:+PrintInlining on the
 # benchmark's heap and collector, prints every inlining decision about the
 # three methods, and exits 1 if any of them reads "already compiled into a
 # big method" or "hot method too big".

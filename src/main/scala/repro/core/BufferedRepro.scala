@@ -19,16 +19,25 @@ import java.nio.ByteBuffer
   * The finalized value is bit-identical to the unbuffered path on the same
   * multiset of inputs (batched extraction captures the identical exact
   * content per value).
+  *
+  * The state is one [[ReproSlotsD]] slot; [[state]] is a [[ReproDouble]]
+  * view over it. Spark's aggregation buffer is a subclass that adds the row
+  * count, so [[BufferedReproDouble.read]] reads an image into any subclass.
   */
-final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializable {
+class BufferedReproDouble(final val levels: Int, final val bsz: Int) extends Serializable {
   require(bsz >= 0, s"buffer size must be >= 0, got $bsz")
 
-  val state = new ReproDouble(levels)
+  private val slots = new ReproSlotsD(1, levels)
   private var buf: Array[Double] = BufferedReproDouble.NoValues
   private var n: Int = 0
 
-  def add(v: Double): Unit = {
-    if (bsz == 0) state.add(v)
+  /** The state without the pending values (see [[flush]]), as a
+    * [[ReproDouble]] over the same slot.
+    */
+  final def state: ReproDouble = new ReproDouble(slots)
+
+  final def add(v: Double): Unit = {
+    if (bsz == 0) slots.add(0, v)
     else {
       if (n == buf.length) grow()
       buf(n) = v
@@ -41,21 +50,21 @@ final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializa
     buf = java.util.Arrays.copyOf(buf, if (n == 0) math.min(bsz, 16) else math.min(2 * n, bsz))
 
   /** Aggregate all pending values into the state (vectorized). */
-  def flush(): Unit = {
-    if (n > 0) { state.addBatch(buf, 0, n, RsumBatchD.forThread(levels)); n = 0 }
+  final def flush(): Unit = {
+    if (n > 0) { slots.addBatch(0, buf, 0, n, RsumBatchD.forThread(levels)); n = 0 }
   }
 
   /** Merge `o` into this (both sides are flushed first; `o`'s state is not
     * mutated — see [[ReproDouble.merge]]).
     */
-  def merge(o: BufferedReproDouble): Unit = {
+  final def merge(o: BufferedReproDouble): Unit = {
     flush(); o.flush()
-    state.merge(o.state)
+    slots.merge(0, o.slots, 0)
   }
 
-  def value: Double = { flush(); state.value }
+  final def value: Double = { flush(); slots.value(0) }
 
-  def isEmpty: Boolean = n == 0 && state.isEmpty
+  final def isEmpty: Boolean = n == 0 && slots.isEmpty(0)
 
   private[core] def pendingCapacity: Int = buf.length
 
@@ -64,17 +73,17 @@ final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializa
     * makes the same observation for its merge phase: shipping buffers
     * would waste space).
     */
-  def serialize(): Array[Byte] = image(0).array()
+  final def serialize(): Array[Byte] = image(0).array()
 
   /** A heap buffer of `header` free bytes followed by the image, so that a
     * caller can prefix its own fields without copying the image.
     */
-  private[repro] def image(header: Int): ByteBuffer = {
+  private[repro] final def image(header: Int): ByteBuffer = {
     flush()
-    val bb = ByteBuffer.allocate(header + 8 + state.slots.imageSize)
+    val bb = ByteBuffer.allocate(header + 8 + slots.imageSize)
     bb.position(header)
     bb.putInt(levels).putInt(bsz)
-    state.slots.write(bb)
+    slots.write(bb)
     bb
   }
 }
@@ -82,13 +91,16 @@ final class BufferedReproDouble(val levels: Int, val bsz: Int) extends Serializa
 object BufferedReproDouble {
   private val NoValues = new Array[Double](0)
 
-  def deserialize(bytes: Array[Byte]): BufferedReproDouble = read(ByteBuffer.wrap(bytes))
+  def deserialize(bytes: Array[Byte]): BufferedReproDouble =
+    read(ByteBuffer.wrap(bytes), new BufferedReproDouble(_, _))
 
-  /** Reads an image at `bb`'s position, in place. */
-  private[repro] def read(bb: ByteBuffer): BufferedReproDouble = {
+  /** Reads an image at `bb`'s position, in place, into the state that
+    * `make(levels, bsz)` returns.
+    */
+  private[repro] def read[S <: BufferedReproDouble](bb: ByteBuffer, make: (Int, Int) => S): S = {
     val levels = bb.getInt
-    val out = new BufferedReproDouble(levels, bb.getInt)
-    out.state.slots.read(bb)
+    val out = make(levels, bb.getInt)
+    out.slots.read(bb)
     out
   }
 }

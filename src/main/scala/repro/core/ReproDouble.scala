@@ -10,7 +10,7 @@ import java.nio.ByteBuffer
   * `add`, `merge` and `value` are bit-reproducible: the result depends only
   * on the multiset of values added across the whole merge tree.
   */
-final class ReproDouble private (private[core] val slots: ReproSlotsD) extends Serializable {
+final class ReproDouble private[core] (private[core] val slots: ReproSlotsD) extends Serializable {
 
   def this(levels: Int) = this(new ReproSlotsD(1, levels))
 

@@ -50,10 +50,4 @@ object ReproFloat {
     while (i < values.length) { st.add(values(i)); i += 1 }
     st.value
   }
-
-  def sumBatched(values: Array[Float], levels: Int): Float = {
-    val st = new ReproFloat(levels)
-    st.addBatch(values, 0, values.length, new RsumBatchD(levels))
-    st.value
-  }
 }

@@ -13,13 +13,12 @@ import repro.core.BufferedReproDouble
 
 /** Aggregation buffer of [[ReproSum]]: the paper's summation buffer (state
   * + pending values) plus a non-null row count for SQL `SUM` semantics
-  * (empty group -> NULL).
+  * (empty group -> NULL). A group's state is five objects: this, its
+  * [[repro.core.ReproSlotsD]] and the slots' three arrays, plus the pending
+  * array when `bufferSize > 0`.
   */
-final class ReproSumState private[spark] (val buf: BufferedReproDouble, var count: Long) {
-  def this(levels: Int, bufferSize: Int) = this(new BufferedReproDouble(levels, bufferSize), 0L)
-
-  def levels: Int = buf.levels
-  def bufferSize: Int = buf.bsz
+final class ReproSumState(levels: Int, bufferSize: Int) extends BufferedReproDouble(levels, bufferSize) {
+  var count: Long = 0L
 }
 
 /** The paper's reproducible SUM as a Catalyst aggregate (§V-D "system
@@ -66,24 +65,24 @@ case class ReproSum(child: Expression,
         case other => throw new IllegalArgumentException(
           s"rsum: unsupported input ${other.getClass.getName}")
       }
-      state.buf.add(d)
+      state.add(d)
       state.count += 1
     }
     state
   }
 
   override def merge(state: ReproSumState, other: ReproSumState): ReproSumState = {
-    state.buf.merge(other.buf)
+    state.merge(other)
     state.count += other.count
     state
   }
 
   override def eval(state: ReproSumState): Any =
-    if (state.count == 0) null else state.buf.value
+    if (state.count == 0) null else state.value
 
   /** The count, then the [[BufferedReproDouble]] image, in one array. */
   override def serialize(state: ReproSumState): Array[Byte] = {
-    val bb = state.buf.image(8)
+    val bb = state.image(8)
     bb.putLong(0, state.count)
     bb.array()
   }
@@ -94,7 +93,8 @@ case class ReproSum(child: Expression,
   override def deserialize(bytes: Array[Byte]): ReproSumState = {
     val bb = ByteBuffer.wrap(bytes)
     val count = bb.getLong
-    val st = new ReproSumState(BufferedReproDouble.read(bb), count)
+    val st = BufferedReproDouble.read(bb, new ReproSumState(_, _))
+    st.count = count
     require(st.levels == levels, s"rsum: a repro<double,${st.levels}> image for a repro<double,$levels> aggregate")
     st
   }

@@ -44,12 +44,13 @@ object TableIII {
     "repro<float,3>"  -> 2.16, "repro<float,4>"  -> 2.35)
 
   /** Built-in types run out of cache later than the buffered repro types
-    * (§VI-C), so they partition later. Thresholds tuned offline on this
-    * substrate with `Fig9.run(buffered = false)` (paper's values: 2^16 /
-    * 2^25 on their machine).
+    * (§VI-C), so they partition later. Thresholds read off
+    * `Fig9.run(buffered = false)` on this substrate: d = 0 was faster at
+    * every group count up to 2^18 in every run, so d = 1 starts at 2^20
+    * (paper's values: 2^16 / 2^25 on their machine).
     */
   def builtinDepthFor(nGroups: Int): Int =
-    if (nGroups < (1 << 18)) 0 else if (nGroups < (1 << 25)) 1 else 2
+    if (nGroups < (1 << 20)) 0 else if (nGroups < (1 << 25)) 1 else 2
 
   def run(): Result = {
     import Timing._

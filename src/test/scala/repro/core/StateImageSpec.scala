@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, SpecificInternalRow}
+import org.apache.spark.sql.types.DoubleType
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.spark.ReproSum
 
 /** The bytes of the serialized states, pinned. The round-trip tests cannot
   * see a change of the format or of the canonical state that both the
@@ -56,6 +60,19 @@ class StateImageSpec extends AnyFunSuite {
       val st = new BufferedReproDouble(2, 16)
       (plainD ++ extra).foreach(st.add)
       assert(hex(st.serialize()) == "0000000200000010" + imagesD(name), name)
+    }
+  }
+
+  test("ReproSum.serialize images (Spark's shuffle image) are pinned") {
+    val agg = ReproSum(BoundReference(0, DoubleType, nullable = false), 2, 16)
+    val row = new SpecificInternalRow(Seq(DoubleType))
+    for ((name, extra) <- extraD) {
+      val vals = plainD ++ extra
+      val st = agg.createAggregationBuffer()
+      vals.foreach { v => row.setDouble(0, v); agg.update(st, row) }
+      val image = agg.serialize(st)
+      assert(hex(image) == f"${vals.size.toLong}%016x" + "0000000200000010" + imagesD(name), name)
+      assert(hex(agg.serialize(agg.deserialize(image))) == hex(image), s"$name: deserialize, then serialize")
     }
   }
 

@@ -5,6 +5,7 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.aggregate.ObjectHashAggregateExec
 import org.apache.spark.sql.functions._
 import repro.{FullDomain, Oracle, SparkSpec, SynthData}
+import repro.core.{BufferedReproDouble, ReproDouble, ReproSlotsD}
 import repro.core.ExactSum.bits
 import scala.util.Random
 
@@ -120,6 +121,16 @@ class ReproSumSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(rows(1).getDouble(1) == 30.0 && rows(1).getDouble(2) == 3.5)
   }
 
+  test("an rsum group's state holds one ReproSlotsD and no ReproDouble or nested BufferedReproDouble") {
+    def fieldTypes(c: Class[_]): Seq[Class[_]] =
+      if (c == null) Nil
+      else c.getDeclaredFields.toSeq.filterNot(f => java.lang.reflect.Modifier.isStatic(f.getModifiers))
+        .map(_.getType) ++ fieldTypes(c.getSuperclass)
+    val types = fieldTypes(classOf[ReproSumState])
+    assert(types.count(_ == classOf[ReproSlotsD]) == 1, types)
+    assert(!types.exists(t => t == classOf[ReproDouble] || classOf[BufferedReproDouble].isAssignableFrom(t)), types)
+  }
+
   // ---------------------------------------------------------- SQL semantics
 
   test("rsum ignores NULLs and returns NULL for empty groups (like SUM)") {
@@ -133,6 +144,28 @@ class ReproSumSparkSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       "SELECT k, sum(v) AS s, rsum(v, 2) AS r FROM nulls GROUP BY k ORDER BY k").collect()
     assert(rows(0).getDouble(1) == 3.0 && rows(0).getDouble(2) == 3.0)
     assert(rows(1).isNullAt(1) && rows(1).isNullAt(2))
+  }
+
+  test("rsum and rsum_buffered return 0.0, not NULL, for a group of only zeros and NULLs") {
+    init
+    import spark.implicits._
+    // RSUM ignores zeros, so only the row count tells groups 1 and 2 from
+    // the empty group 3.
+    val df = Seq[(Int, Option[Double])](
+      (1, Some(0.0)), (1, None), (1, Some(-0.0)), (2, Some(-0.0)), (3, None), (3, None), (4, Some(1.5)))
+      .toDF("k", "v").cache()
+    df.count()
+    for (p <- Seq(1, 7); agg <- Seq("rsum(v, 2)", "rsum_buffered(v, 2, 16)")) {
+      df.repartition(p).createOrReplaceTempView("zeros")
+      val rows = spark.sql(s"SELECT k, $agg AS s FROM zeros GROUP BY k ORDER BY k").collect()
+      val what = s"$agg after repartition($p)"
+      assert(rows.map(_.getInt(0)).toSeq == Seq(1, 2, 3, 4), what)
+      for (r <- Seq(rows(0), rows(1)))
+        assert(!r.isNullAt(1) && bits(r.getDouble(1)) == bits(0.0), s"$what: key ${r.getInt(0)} gave ${r.get(1)}")
+      assert(rows(2).isNullAt(1), s"$what: the empty group gave ${rows(2).get(1)}")
+      assert(rows(3).getDouble(1) == 1.5, what)
+    }
+    df.unpersist()
   }
 
   test("rsum propagates NaN and infinities like SUM") {
