@@ -1,5 +1,7 @@
 package repro.exec
 
+import java.util.concurrent.atomic.AtomicInteger
+
 /** Accumulator data types available to the aggregation operators — the
   * paper's experimental axes (§VI): built-in float/double, DECIMAL(19), and
   * `repro<ScalarT,L>` with or without summation buffers.
@@ -16,17 +18,25 @@ object AggKind {
 }
 
 /** The paper's PARTITIONANDAGGREGATE (Alg. 4): `d` levels of radix
-  * partitioning with fan-out 256, then HASHAGGREGATION of each partition.
-  * Partitions are disjoint in key space, so concatenating the per-partition
-  * results *is* the final merge (the cross-thread state merge of Alg. 4
-  * lines 4-6 is exercised at the Spark layer, where partial aggregates of
-  * the same group really do meet).
+  * partitioning with fan-out 256, then HASHAGGREGATION of each partition,
+  * both on up to `P` worker threads ([[Workers]]).
+  *
+  * Partitions are disjoint in key space, so each is aggregated by one
+  * worker, in input order, and concatenating the per-partition results in
+  * partition order *is* the final merge: no state crosses threads, and the
+  * result's keys, bits and order do not depend on the worker count. (The
+  * cross-thread state merge of Alg. 4 lines 4-6 is exercised at the Spark
+  * layer, where partial aggregates of the same group really do meet.)
+  * Morsels with a state merge would change the plain-double baseline's
+  * bits with the worker count, and need a full table per morsel.
   *
   * The paper reports "CPU time per element = T*P/n", which normalizes the
-  * thread count away; these kernels run single-threaded (P=1).
+  * thread count away; its runners here (`TableIII`, `Fig4`, `Fig9`)
+  * pass one worker so their per-thread figures keep that meaning.
   */
 object PartitionAndAggregate {
   import AggKind._
+  import RadixPartition.Partitioned
 
   /** Cache budget per thread for the buffer-size model, Eq. 4. The paper
     * uses 1 MiB (half of the 20 MiB LLC per core on their 8-core socket);
@@ -50,7 +60,7 @@ object PartitionAndAggregate {
     * substrate the JVM radix pass costs more relative to aggregation than
     * the paper's AVX-tuned one, so the thresholds sit higher than the
     * paper's (2^10/2^18); the *ordering* — buffered repro partitions
-    * earlier than built-ins — is preserved.
+    * earlier than built-ins — is preserved. Tuned on one worker.
     */
   def depthFor(nGroups: Int): Int =
     if (nGroups < (1 << 15)) 0
@@ -63,31 +73,39 @@ object PartitionAndAggregate {
     * distinct keys, or more than a partition's table can hold.
     */
   def run(keys: Array[Int], values: Array[Double], nGroups: Int, d: Int,
-          kind: AggKind): (Array[Int], Array[Double]) = {
-    val part = RadixPartition.partition(keys, values, d)
-    val cap = capacity(nGroups, d)
-    val table: AggTable[Array[Double]] = kind match {
-      case PlainD       => new PlainDTable(cap)
-      case Dec64        => new Dec64Table(cap)
-      case ReproD(l)    => new ReproDTable(cap, l)
-      case BufD(l, bsz) => new BufDTable(cap, l, bsz)
-      case other => throw new IllegalArgumentException(s"${other.name} needs the float-typed entry point")
-    }
-    aggregatePartitions(part.keys, part.values, part.offsets, d, nGroups, table)
-  }
+          kind: AggKind): (Array[Int], Array[Double]) =
+    run(keys, values, nGroups, d, kind, Workers.P)
 
   /** Run GROUPBY-SUM over float-typed values. */
   def runF(keys: Array[Int], values: Array[Float], nGroups: Int, d: Int,
-           kind: AggKind): (Array[Int], Array[Double]) = {
-    val part = RadixPartition.partitionF(keys, values, d)
+           kind: AggKind): (Array[Int], Array[Double]) =
+    runF(keys, values, nGroups, d, kind, Workers.P)
+
+  /** [[run]] on up to `workers` threads, the caller's included. */
+  private[repro] def run(keys: Array[Int], values: Array[Double], nGroups: Int, d: Int,
+                         kind: AggKind, workers: Int): (Array[Int], Array[Double]) = {
     val cap = capacity(nGroups, d)
-    val table: AggTable[Array[Float]] = kind match {
-      case PlainF       => new PlainFTable(cap)
-      case ReproF(l)    => new ReproFTable(cap, l)
-      case BufF(l, bsz) => new BufFTable(cap, l, bsz)
+    val table: () => AggTable[Array[Double]] = kind match {
+      case PlainD       => () => new PlainDTable(cap)
+      case Dec64        => () => new Dec64Table(cap)
+      case ReproD(l)    => () => new ReproDTable(cap, l)
+      case BufD(l, bsz) => () => new BufDTable(cap, l, bsz)
+      case other => throw new IllegalArgumentException(s"${other.name} needs the float-typed entry point")
+    }
+    aggregate(RadixPartition.partition(keys, values, d, workers), d, nGroups, workers, table, Doubles)
+  }
+
+  /** [[runF]] on up to `workers` threads, the caller's included. */
+  private[repro] def runF(keys: Array[Int], values: Array[Float], nGroups: Int, d: Int,
+                          kind: AggKind, workers: Int): (Array[Int], Array[Double]) = {
+    val cap = capacity(nGroups, d)
+    val table: () => AggTable[Array[Float]] = kind match {
+      case PlainF       => () => new PlainFTable(cap)
+      case ReproF(l)    => () => new ReproFTable(cap, l)
+      case BufF(l, bsz) => () => new BufFTable(cap, l, bsz)
       case other => throw new IllegalArgumentException(s"${other.name} needs the double-typed entry point")
     }
-    aggregatePartitions(part.keys, part.values, part.offsets, d, nGroups, table)
+    aggregate(RadixPartition.partitionF(keys, values, d, workers), d, nGroups, workers, table, Floats)
   }
 
   /** Table capacity for the groups of one of the `256^d` partitions. */
@@ -96,30 +114,82 @@ object PartitionAndAggregate {
     HashAgg.capacityFor(math.max(1, (nGroups + fanout - 1) / fanout))
   }
 
-  /** HASHAGGREGATION of each non-empty partition into the one `table`,
-    * which is reset between partitions.
+  /** How results of one value type are staged in their partition's rows
+    * and copied out.
     */
-  private def aggregatePartitions[A](keys: Array[Int], values: A, offsets: Array[Int], d: Int,
-                                     nGroups: Int, table: AggTable[A]): (Array[Int], Array[Double]) = {
-    val outKeys = new Array[Int](math.min(nGroups.toLong, keys.length.toLong).toInt)
-    val outVals = new Array[Double](outKeys.length)
-    var pos = 0
-    var first = true
-    var p = 0
-    while (p < offsets.length - 1) {
-      val from = offsets(p)
-      val to   = offsets(p + 1)
-      if (to > from) {
-        if (!first) table.reset()
-        first = false
-        table.aggregate(keys, values, from, to, 8 * d)
-        if (table.size > outKeys.length - pos)
-          throw new IllegalArgumentException(s"input holds more than $nGroups distinct keys")
-        pos = table.emit(outKeys, outVals, pos)
-      }
-      p += 1
+  private sealed abstract class Staging[A] {
+    def emit(t: AggTable[A], keys: Array[Int], values: A, pos: Int): Int
+    def copy(values: A, from: Int, out: Array[Double], pos: Int, n: Int): Unit
+  }
+  private object Doubles extends Staging[Array[Double]] {
+    def emit(t: AggTable[Array[Double]], keys: Array[Int], values: Array[Double], pos: Int): Int =
+      t.emit(keys, values, pos)
+    def copy(values: Array[Double], from: Int, out: Array[Double], pos: Int, n: Int): Unit =
+      System.arraycopy(values, from, out, pos, n)
+  }
+  private object Floats extends Staging[Array[Float]] {
+    def emit(t: AggTable[Array[Float]], keys: Array[Int], values: Array[Float], pos: Int): Int =
+      t.emitFloats(keys, values, pos)
+    def copy(values: Array[Float], from: Int, out: Array[Double], pos: Int, n: Int): Unit = {
+      var i = 0
+      while (i < n) { out(pos + i) = values(from + i); i += 1 }
     }
-    (outKeys.take(pos), outVals.take(pos))
+  }
+
+  private def tooManyGroups(nGroups: Int): Nothing =
+    throw new IllegalArgumentException(s"input holds more than $nGroups distinct keys")
+
+  /** HASHAGGREGATION of each non-empty partition. At `d == 0` the one
+    * partition is the caller's input, which is never written, so the
+    * caller's thread emits it into fresh arrays. Deeper, up to `workers`
+    * workers (the caller is worker 0) take partitions from one counter,
+    * each into its own table, reset between partitions. A worker emits
+    * partition `p` in place, at `offsets(p)`: its rows are dead once
+    * aggregated, and it has at least as many rows as groups. One pass then
+    * copies the results out in partition order. After a failure the other
+    * workers take no further partition.
+    */
+  private def aggregate[A](part: Partitioned[A], d: Int, nGroups: Int, workers: Int,
+                           newTable: () => AggTable[A], staging: Staging[A]): (Array[Int], Array[Double]) = {
+    val offsets = part.offsets
+    if (d == 0) {
+      val n = offsets(1)
+      if (n == 0) return (new Array[Int](0), new Array[Double](0))
+      val table = newTable()
+      table.aggregate(part.keys, part.values, 0, n, 0)
+      if (table.size > nGroups) tooManyGroups(nGroups)
+      val out = (new Array[Int](table.size), new Array[Double](table.size))
+      table.emit(out._1, out._2, 0)
+      return out
+    }
+    val parts = (0 until offsets.length - 1).filter(p => offsets(p + 1) > offsets(p)).toArray
+    val sizes = new Array[Int](parts.length)
+    val next = new AtomicInteger
+    Workers.run(math.max(1, math.min(workers, parts.length)), () => next.set(parts.length)) { _ =>
+      var table: AggTable[A] = null
+      var i = next.getAndIncrement()
+      while (i < parts.length) {
+        val from = offsets(parts(i))
+        if (table == null) table = newTable() else table.reset()
+        table.aggregate(part.keys, part.values, from, offsets(parts(i) + 1), 8 * d)
+        sizes(i) = staging.emit(table, part.keys, part.values, from) - from
+        i = next.getAndIncrement()
+      }
+    }
+    val total = sizes.foldLeft(0L)(_ + _)
+    if (total > nGroups) tooManyGroups(nGroups)
+    val outKeys = new Array[Int](total.toInt)
+    val outVals = new Array[Double](total.toInt)
+    var pos = 0
+    var i = 0
+    while (i < parts.length) {
+      val from = offsets(parts(i))
+      System.arraycopy(part.keys, from, outKeys, pos, sizes(i))
+      staging.copy(part.values, from, outVals, pos, sizes(i))
+      pos += sizes(i)
+      i += 1
+    }
+    (outKeys, outVals)
   }
 }
 

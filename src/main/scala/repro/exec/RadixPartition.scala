@@ -10,6 +10,13 @@ package repro.exec
   * "zero or more levels of partitioning": each level streams all records
   * once. After the passes the records are ordered by partition id
   * `key & (F-1)` and `offsets` delimits the partitions.
+  *
+  * Each pass is the per-thread-histogram partitioning of Balkesen et al.
+  * (ICDE 2013): the input is cut into one contiguous chunk per worker, each
+  * worker counts its chunk's bytes, the prefix sums run bucket-major and
+  * chunk-minor, and each worker scatters its own chunk. A chunk's keys of a
+  * byte land after those of the chunks before it, in input order, so the
+  * output is the one stable partition whatever the worker count.
   */
 object RadixPartition {
 
@@ -26,15 +33,21 @@ object RadixPartition {
     b
   }
 
-  /** One stable scatter pass on byte `(key >>> shift) & 255`: the input is
-    * only read, and `next(b)` is where the keys of byte `b` start (the
-    * input's [[bounds]] at `shift`), advanced as they are written.
+  /** Adds the byte histogram of `keys(from until to)` to `hist(at until at + 256)`. */
+  private def count(keys: Array[Int], from: Int, to: Int, shift: Int, hist: Array[Int], at: Int): Unit = {
+    var i = from
+    while (i < to) { hist(at + ((keys(i) >>> shift) & 255)) += 1; i += 1 }
+  }
+
+  /** One stable scatter of `keysIn/valsIn(from until to)` on byte
+    * `(key >>> shift) & 255`: the input is only read, and `next(at + b)` is
+    * where the chunk's keys of byte `b` start, advanced as they are written.
     */
-  def pass(keysIn: Array[Int], valsIn: Array[Double],
-           keysOut: Array[Int], valsOut: Array[Double], shift: Int, next: Array[Int]): Unit = {
-    var i = 0
-    while (i < keysIn.length) {
-      val b = (keysIn(i) >>> shift) & 255
+  private def pass(keysIn: Array[Int], valsIn: Array[Double], keysOut: Array[Int], valsOut: Array[Double],
+                   shift: Int, next: Array[Int], at: Int, from: Int, to: Int): Unit = {
+    var i = from
+    while (i < to) {
+      val b = at + ((keysIn(i) >>> shift) & 255)
       val pos = next(b)
       next(b) = pos + 1
       keysOut(pos) = keysIn(i)
@@ -44,11 +57,11 @@ object RadixPartition {
   }
 
   /** Float-valued variant of [[pass]]. */
-  def passF(keysIn: Array[Int], valsIn: Array[Float],
-            keysOut: Array[Int], valsOut: Array[Float], shift: Int, next: Array[Int]): Unit = {
-    var i = 0
-    while (i < keysIn.length) {
-      val b = (keysIn(i) >>> shift) & 255
+  private def passF(keysIn: Array[Int], valsIn: Array[Float], keysOut: Array[Int], valsOut: Array[Float],
+                    shift: Int, next: Array[Int], at: Int, from: Int, to: Int): Unit = {
+    var i = from
+    while (i < to) {
+      val b = at + ((keysIn(i) >>> shift) & 255)
       val pos = next(b)
       next(b) = pos + 1
       keysOut(pos) = keysIn(i)
@@ -70,30 +83,52 @@ object RadixPartition {
     * input" when F=1). The caller's arrays are never written.
     */
   def partition(keys: Array[Int], values: Array[Double], d: Int): PartitionedD =
-    levels(keys, values, d, new Array[Double](_), pass)
+    partition(keys, values, d, Workers.P)
 
   /** `d` levels of partitioning of float-valued records. */
   def partitionF(keys: Array[Int], values: Array[Float], d: Int): PartitionedF =
-    levels(keys, values, d, new Array[Float](_), passF)
+    partitionF(keys, values, d, Workers.P)
+
+  /** [[partition]] on `workers` threads, the caller's included. */
+  private[repro] def partition(keys: Array[Int], values: Array[Double], d: Int, workers: Int): PartitionedD =
+    levels(keys, values, d, workers, new Array[Double](_), pass)
+
+  /** [[partitionF]] on `workers` threads, the caller's included. */
+  private[repro] def partitionF(keys: Array[Int], values: Array[Float], d: Int, workers: Int): PartitionedF =
+    levels(keys, values, d, workers, new Array[Float](_), passF)
 
   /** The level loop of both precisions: the first pass reads the caller's
     * arrays, later ones ping-pong between (at most two) fresh output pairs.
-    * The partition boundaries count the input keys, since counts do not
-    * depend on order; at `d == 1` they are the one pass's own bounds.
+    * At `d == 1` the partition boundaries are the one pass's prefix sums;
+    * deeper, they count the input keys, since counts do not depend on order.
     */
-  private def levels[V](keys: Array[Int], values: V, d: Int, alloc: Int => V,
-                        scatter: (Array[Int], V, Array[Int], V, Int, Array[Int]) => Unit): Partitioned[V] = {
+  private def levels[V](keys: Array[Int], values: V, d: Int, workers: Int, alloc: Int => V,
+                        scatter: (Array[Int], V, Array[Int], V, Int, Array[Int], Int, Int, Int) => Unit): Partitioned[V] = {
     require(d >= 0 && d <= 3, s"partition depth must be in [0,3], got $d")
+    require(workers >= 1, s"workers must be >= 1, got $workers")
     val n = keys.length
     if (d == 0) return Partitioned(keys, values, Array(0, n))
-    val offsets = bounds(keys, 0, (1 << (8 * d)) - 1)
+    val chunks = math.max(1, math.min(workers, n))
+    def start(c: Int): Int = (n.toLong * c / chunks).toInt
+    var offsets = if (d == 1) null else bounds(keys, 0, (1 << (8 * d)) - 1)
     val out = Seq.fill(math.min(d, 2))((new Array[Int](n), alloc(n)))
     var kIn = keys; var vIn = values
     var level = 0
     while (level < d) {
       val (kOut, vOut) = out(level % 2)
-      val next = if (d == 1) offsets.clone() else bounds(kIn, 8 * level, 255)
-      scatter(kIn, vIn, kOut, vOut, 8 * level, next)
+      val (k, v, shift) = (kIn, vIn, 8 * level)
+      // Chunk c's byte counts at next(256 * c + b), then its start positions.
+      val next = new Array[Int](256 * chunks)
+      Workers.run(chunks)(c => count(k, start(c), start(c + 1), shift, next, 256 * c))
+      var sum = 0
+      var b = 0
+      while (b < 256) {
+        var c = 0
+        while (c < chunks) { val h = next(256 * c + b); next(256 * c + b) = sum; sum += h; c += 1 }
+        b += 1
+      }
+      if (d == 1) { offsets = java.util.Arrays.copyOf(next, 257); offsets(256) = n }
+      Workers.run(chunks)(c => scatter(k, v, kOut, vOut, shift, next, 256 * c, start(c), start(c + 1)))
       kIn = kOut; vIn = vOut
       level += 1
     }

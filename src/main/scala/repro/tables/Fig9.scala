@@ -42,7 +42,7 @@ object Fig9 {
           if (buffered) AggKind.BufD(Levels, PartitionAndAggregate.bszFor(g, 1 << (8 * d), 8))
           else AggKind.PlainD
         nsPerElement(N) {
-          PartitionAndAggregate.run(keys, vals, g, d, kind)._2.sum
+          PartitionAndAggregate.run(keys, vals, g, d, kind, workers = 1)._2.sum
         }
       }
       Row(g, times)

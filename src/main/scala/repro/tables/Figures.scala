@@ -34,9 +34,9 @@ object Fig4 {
     def t(kind: AggKind): Double = nsPerElement(N) {
       kind match {
         case AggKind.PlainF | AggKind.ReproF(_) | AggKind.BufF(_, _) =>
-          PartitionAndAggregate.runF(keys, valsF, g, 0, kind)._2.sum
+          PartitionAndAggregate.runF(keys, valsF, g, 0, kind, workers = 1)._2.sum
         case _ =>
-          PartitionAndAggregate.run(keys, valsD, g, 0, kind)._2.sum
+          PartitionAndAggregate.run(keys, valsD, g, 0, kind, workers = 1)._2.sum
       }
     }
 

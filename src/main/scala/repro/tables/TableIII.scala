@@ -62,10 +62,10 @@ object TableIII {
     for (g <- GroupCounts) {
       val d = builtinDepthFor(g)
       baseline(("double", g)) = nsPerElement(N) {
-        PartitionAndAggregate.run(keysByG(g), valsD, g, d, AggKind.PlainD)._2.sum
+        PartitionAndAggregate.run(keysByG(g), valsD, g, d, AggKind.PlainD, workers = 1)._2.sum
       }
       baseline(("float", g)) = nsPerElement(N) {
-        PartitionAndAggregate.runF(keysByG(g), valsF, g, d, AggKind.PlainF)._2.sum
+        PartitionAndAggregate.runF(keysByG(g), valsF, g, d, AggKind.PlainF, workers = 1)._2.sum
       }
     }
 
@@ -77,9 +77,9 @@ object TableIII {
         val bsz = PartitionAndAggregate.bszFor(g, fanout, bytes)
         val t = nsPerElement(N) {
           if (scalar == "double")
-            PartitionAndAggregate.run(keysByG(g), valsD, g, d, AggKind.BufD(l, bsz))._2.sum
+            PartitionAndAggregate.run(keysByG(g), valsD, g, d, AggKind.BufD(l, bsz), workers = 1)._2.sum
           else
-            PartitionAndAggregate.runF(keysByG(g), valsF, g, d, AggKind.BufF(l, bsz))._2.sum
+            PartitionAndAggregate.runF(keysByG(g), valsF, g, d, AggKind.BufF(l, bsz), workers = 1)._2.sum
         }
         g -> t / baseline((scalar, g))
       }

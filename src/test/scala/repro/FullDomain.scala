@@ -24,9 +24,9 @@ object FullDomain {
   def doubles(n: Int, seed: Long, keys: Array[Int] = Keys): (Array[Int], Array[Double]) =
     rows(n, seed, keys, Double.MaxValue, 987, Double.MinPositiveValue, 80)
 
-  def floats(n: Int, seed: Long): (Array[Int], Array[Float]) = {
-    val (keys, vals) = rows(n, seed, Keys, Float.MaxValue, 120, Float.MinPositiveValue, 30)
-    (keys, vals.map(_.toFloat))
+  def floats(n: Int, seed: Long, keys: Array[Int] = Keys): (Array[Int], Array[Float]) = {
+    val (ks, vals) = rows(n, seed, keys, Float.MaxValue, 120, Float.MinPositiveValue, 30)
+    (ks, vals.map(_.toFloat))
   }
 
   /** Per key, the bits of the `ReproDouble(levels)` sum of its values. */

@@ -61,6 +61,40 @@ class CrossLayerSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("every kind at d=0..2 on 2, 3 and 4 workers: the keys, bits and order of 1 worker; repro kinds: ReproDouble/ReproFloat bits") {
+    // Every fourth key from 7: at d = 1 most of the 256 partitions stay
+    // empty, at d = 2 nearly all.
+    val keySet = (FullDomain.Keys ++ Array.tabulate(200)(i => 7 + 4 * i)).distinct
+    assert(keySet.map(_ & 255).distinct.length < 256)
+    val (keys, vals) = FullDomain.doubles(Rows, 4, keySet)
+    val (keysF, valsF) = FullDomain.floats(Rows, 5, keySet)
+    val ref = FullDomain.reproBits(keys, vals, Levels)
+    val refF = FullDomain.reproBitsF(keysF, valsF, Levels)
+    assertCoversDomain(ref)
+    assertCoversDomain(refF)
+    val kinds = Seq(PlainD, Dec64, ReproD(Levels), BufD(Levels, 16), PlainF, ReproF(Levels), BufF(Levels, 16))
+    for (kind <- kinds; d <- 0 to 2) {
+      val out = (1 to 4).map { workers =>
+        kind match {
+          case PlainF | ReproF(_) | BufF(_, _) =>
+            PartitionAndAggregate.runF(keysF, valsF, keySet.length, d, kind, workers)
+          case _ =>
+            PartitionAndAggregate.run(keys, vals, keySet.length, d, kind, workers)
+        }
+      }
+      val (k1, v1) = out.head
+      for (workers <- 2 to 4) {
+        val (k, v) = out(workers - 1)
+        assert(k.sameElements(k1) && v.map(bits).sameElements(v1.map(bits)), s"${kind.name}, d=$d, workers=$workers")
+      }
+      kind match {
+        case ReproD(_) | BufD(_, _) => assert(groupBits(out.head) == ref, s"${kind.name}, d=$d")
+        case ReproF(_) | BufF(_, _) => assert(groupBits(out.head) == refF, s"${kind.name}, d=$d")
+        case _ =>
+      }
+    }
+  }
 }
 
 /** Inputs outside what a table or `nGroups` can hold must fail with an
@@ -90,6 +124,16 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
         PartitionAndAggregate.run(keys, Array.fill(keys.length)(1.0), nGroups, d, kind)
     }
 
+  /** [[countByKey]] on `workers` threads. */
+  private def countByKeyOn(kind: AggKind, keys: Array[Int], nGroups: Int, d: Int,
+                           workers: Int): (Array[Int], Array[Double]) =
+    kind match {
+      case PlainF | ReproF(_) | BufF(_, _) =>
+        PartitionAndAggregate.runF(keys, Array.fill(keys.length)(1.0f), nGroups, d, kind, workers)
+      case _ =>
+        PartitionAndAggregate.run(keys, Array.fill(keys.length)(1.0), nGroups, d, kind, workers)
+    }
+
   test("more distinct keys than nGroups throws IllegalArgumentException") {
     val keys = Array.range(0, 100)
     for (nGroups <- Seq(10, 50, 99); d <- 0 to 1; kind <- allKinds)
@@ -115,6 +159,20 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
     val out = (new Array[Int](15), new Array[Double](15))
     assert(t.emit(out._1, out._2, 0) == 15)
     assert(out._1.zip(out._2).toMap == (0 until 15).map(k => k -> (if (k == 3) 3.0 else 1.0)).toMap)
+  }
+
+  test("d=2 on 2 and 4 workers: a worker's IllegalArgumentException reaches the caller as itself, and the next call succeeds") {
+    // 10000 partitions of one key each, and partition 5000 with 17 keys:
+    // more than its 16-slot table takes.
+    val crowded = Array.range(0, 10000) ++ Array.tabulate(16)(j => 5000 + 65536 * (j + 1))
+    val ok = Array.range(0, 3000)
+    for (workers <- Seq(2, 4); kind <- allKinds)
+      withClue(s"${kind.name}, workers=$workers: ") {
+        intercept[IllegalArgumentException](limited(countByKeyOn(kind, crowded, crowded.length, 2, workers)))
+        intercept[IllegalArgumentException](limited(countByKeyOn(kind, ok, ok.length - 1, 2, workers)))
+        val (k, v) = limited(countByKeyOn(kind, ok, ok.length, 2, workers))
+        assert(k.sameElements(ok) && v.forall(_ == 1.0))
+      }
   }
 
   test("keys -1, Int.MinValue and Int.MaxValue are ordinary keys in every table") {

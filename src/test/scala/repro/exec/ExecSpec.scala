@@ -61,6 +61,28 @@ class RadixPartitionSpec extends AnyFunSuite {
     }
   }
 
+  test("d=1/d=2: partition and partitionF give the stable sort's arrays on 1 to 5 workers") {
+    for (d <- 1 to 2; n <- Seq(0, 1, 3, 257, 10000)) {
+      val keys = SynthData.localUniformKeys(n, 70000, 11 + n)
+      val vals = SynthData.localMixedValues(n, 12 + n)
+      val valsF = SynthData.toFloats(vals)
+      val mask = (1 << (8 * d)) - 1
+      val order = keys.indices.sortBy(keys(_) & mask)
+      val offsets = new Array[Int](mask + 2)
+      keys.foreach(k => offsets((k & mask) + 1) += 1)
+      for (p <- 1 to mask + 1) offsets(p) += offsets(p - 1)
+      for (workers <- 1 to 5) {
+        val clue = s"d=$d, n=$n, workers=$workers"
+        val pd = RadixPartition.partition(keys, vals, d, workers)
+        val pf = RadixPartition.partitionF(keys, valsF, d, workers)
+        assert(pd.keys.sameElements(order.map(keys)) && pf.keys.sameElements(pd.keys), clue)
+        assert(pd.values.map(bits).sameElements(order.map(i => bits(vals(i)))), clue)
+        assert(pf.values.map(bitsF).sameElements(order.map(i => bitsF(valsF(i)))), clue)
+        assert(pd.offsets.sameElements(offsets) && pf.offsets.sameElements(offsets), clue)
+      }
+    }
+  }
+
   test("float variant partitions identically to the double variant") {
     val n = 5000
     val keys = SynthData.localUniformKeys(n, 3000, 7)
