@@ -1,7 +1,9 @@
 import repro.SynthData;
 import repro.core.BufferedReproDouble;
 import repro.core.ReproDouble;
+import repro.exec.AggKind;
 import repro.exec.BufDTable;
+import repro.exec.PartitionAndAggregate;
 import repro.exec.ReproDTable;
 import repro.exec.ReproFTable;
 
@@ -16,7 +18,10 @@ import repro.exec.ReproFTable;
   * (bsz 32) takes about 4 rows per group, as a paa-wide partition does, so
   * its emit flushes short chunks through the kernel's tail. Two
   * BufferedReproDouble add loops, at bsz 0 and bsz 256, drive the state of
-  * Spark's rsum and rsum_buffered aggregates. See jit-inline-check.sh.
+  * Spark's rsum and rsum_buffered aggregates. One PartitionAndAggregate.run
+  * of BufD at d = 0 per round runs the BufDTable loop on every worker,
+  * pool threads included, over chunks of the input, and merges the
+  * workers' tables. See jit-inline-check.sh.
   */
 public class JitInlineCheck {
   public static void main(String[] args) {
@@ -34,6 +39,7 @@ public class JitInlineCheck {
     BufDTable shortTable = new BufDTable(2 * wideGroups, levels, 32);
     int[] wideOutKeys = new int[wideGroups];
     double[] wideOutVals = new double[wideGroups];
+    AggKind bufKind = new AggKind.BufD(levels, 128);
     int[] outKeys = new int[groups];
     double[] outVals = new double[groups];
     double sink = 0;
@@ -59,6 +65,7 @@ public class JitInlineCheck {
       BufferedReproDouble rsum = new BufferedReproDouble(levels, 0);
       for (int i = 0; i < n; i++) rsum.add(vals[i]);
       sink += rsum.value();
+      sink += PartitionAndAggregate.run(keys, vals, groups, 0, bufKind)._2()[0];
       BufferedReproDouble rsumBuffered = new BufferedReproDouble(levels, 256);
       for (int i = 0; i < n; i++) rsumBuffered.add(vals[i]);
       sink += rsumBuffered.value();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Checks that C2 inlines the scalar repro add path (ReproSlotsD.add,
-# ReproSlotsF.add and RsumD.add) into its callers. C2 does not inline a method whose compiled
+# ReproSlotsF.add and RsumD.add) and the table probe (AggTable.slotOf) into
+# their callers. C2 does not inline a method whose compiled
 # code is already larger than InlineSmallCode (2500 bytes on JDK 17); the
 # caller then makes a real call per value. Run from anywhere:
 #
@@ -13,7 +14,7 @@
 # loops, full flushes and short ones at about 4 rows per group, that keep
 # the batched kernel compiled beside them) with -XX:+PrintInlining on the
 # benchmark's heap and collector, prints every inlining decision about the
-# three methods, and exits 1 if any of them reads "already compiled into a
+# four methods, and exits 1 if any of them reads "already compiled into a
 # big method" or "hot method too big".
 set -euo pipefail
 
@@ -29,10 +30,10 @@ java -Xms1g -Xmx1g -XX:+UseParallelGC -XX:-UsePerfData \
   -XX:+UnlockDiagnosticVMOptions -XX:+PrintInlining \
   -cp "$out:$classes:$jars/*" JitInlineCheck > "$log"
 
-pattern='(repro\.core\.ReproSlots[DF]::add|repro\.core\.RsumD\$::add) \('
+pattern='(repro\.core\.ReproSlots[DF]::add|repro\.core\.RsumD\$::add|repro\.exec\.AggTable::slotOf) \('
 grep -E "$pattern" "$log" | sed -E 's/^ +//' | sort | uniq -c
 if grep -E "$pattern" "$log" | grep -qE 'already compiled into a big method|hot method too big'; then
-  echo "jit-inline-check: FAIL (the scalar add path is not inlined; see $log)"
+  echo "jit-inline-check: FAIL (the scalar add path or the probe is not inlined; see $log)"
   exit 1
 fi
 echo "jit-inline-check: OK"

@@ -10,8 +10,9 @@ import repro.core._
   * built-in, DECIMAL, `repro<T,L>` and summation-buffer aggregates are
   * those of the accumulators, not of megamorphic dispatch.
   *
-  * A workspace is allocated ONCE per worker of an operator invocation and
-  * reused across that worker's partitions via `reset()` (the paper's
+  * Tables are allocated once and reused: [[PartitionAndAggregate]] keeps
+  * each calling thread's tables of the last shape it asked for, one per
+  * worker, and resets them between partitions and calls (the paper's
   * operators do the same; per-partition allocation would dominate the run
   * time and wreck the cache footprint the experiments study).
   *
@@ -19,11 +20,19 @@ import repro.core._
   * `(key >>> shift) & (cap-1)` — after `d` partitioning levels the low
   * `8*d` key bits are constant within a partition, so `shift = 8*d`
   * spreads the probe sequence. `emit` finalizes the table into
-  * `outKeys/outVals` at `outPos` and returns the new cursor.
+  * `outKeys/outVals` at `outPos` and returns the new cursor. `merge` adds
+  * another table's groups (Alg. 4 lines 4-6).
   */
 object HashAgg {
-  /** Smallest power of two >= 2*x (load factor <= 0.5). */
+  /** Slots of the largest table. */
+  val MaxCapacity: Int = 1 << 30
+
+  /** Smallest power of two >= 2*x (load factor <= 0.5). Throws
+    * `IllegalArgumentException` if that is more than [[MaxCapacity]].
+    */
   def capacityFor(x: Int): Int = {
+    if (x > MaxCapacity / 2)
+      throw new IllegalArgumentException(s"$x groups need more than the $MaxCapacity slots of the largest table")
     var cap = 16
     while (cap < 2 * x) cap <<= 1
     cap
@@ -38,31 +47,50 @@ object HashAgg {
   * `IllegalArgumentException`.
   *
   * `A` is the value-array type of `aggregate`. A subclass starts the
-  * accumulator of a newly claimed slot in `init` and finalizes it in
-  * `result`.
+  * accumulator of a newly claimed slot in `init`, adds another table's slot
+  * to it in `mergeSlot` and finalizes it in `result`. The table records the
+  * order in which its slots were claimed: `reset` frees just those, and
+  * `merge` reads the other table's keys in that order.
   */
 abstract class AggTable[A](val cap: Int) {
   require(cap > 0 && (cap & (cap - 1)) == 0, s"capacity must be a power of two, got $cap")
 
   private val mask = cap - 1
   private val slotKey = new Array[Long](cap)
-  private var used = 0
-  reset()
+  // The claimed slots, in claim order.
+  private val order = new Array[Int](cap)
+  // How many slots are claimed, at `count(AggTable.Used)`: a cache line
+  // from either end of an array of its own. A worker writes it on every
+  // claim, and the collector may move the reused tables of other workers
+  // next to this one; as a field it shared cache lines with the fields
+  // they read on every row.
+  private val count = new Array[Int](2 * AggTable.Used)
+  java.util.Arrays.fill(slotKey, AggTable.Free)
 
   def aggregate(keys: Array[Int], values: A, from: Int, to: Int, shift: Int): Unit
 
   /** Start the accumulator of slot `h`, just claimed by a new key. */
   protected def init(h: Int): Unit
 
-  /** Finalized aggregate of slot `h`. */
+  /** Add slot `j` of `o`, a table of this class with no pending input, to
+    * slot `h`. The plain tables do not merge: a merge of partial sums
+    * rounds differently from one sum over both inputs.
+    */
+  protected def mergeSlot(h: Int, o: AggTable[A], j: Int): Unit =
+    throw new UnsupportedOperationException(s"${getClass.getSimpleName} does not merge")
+
+  /** Finalized aggregate of slot `h`, once the table has no pending input. */
   protected def result(h: Int): Double
 
   /** Number of keys in the table. */
-  final def size: Int = used
+  final def size: Int = count(AggTable.Used)
+
+  protected final def claimed(h: Int): Boolean = slotKey(h) != AggTable.Free
 
   final def reset(): Unit = {
-    java.util.Arrays.fill(slotKey, AggTable.Free)
-    used = 0
+    var i = 0
+    while (i < size) { slotKey(order(i)) = AggTable.Free; i += 1 }
+    count(AggTable.Used) = 0
   }
 
   /** Slot of `key`; the key's first row claims the first free slot on its
@@ -75,9 +103,11 @@ abstract class AggTable[A](val cap: Int) {
     var sk = slotKey(h)
     while (sk != k) {
       if (sk == AggTable.Free) {
+        val used = count(AggTable.Used)
         if (used == mask) refuse(key)
         slotKey(h) = k
-        used += 1
+        order(used) = h
+        count(AggTable.Used) = used + 1
         init(h)
         return h
       }
@@ -90,11 +120,28 @@ abstract class AggTable[A](val cap: Int) {
   private def refuse(key: Int): Nothing =
     throw new IllegalArgumentException(s"key $key would take the last free slot of a $cap-slot table")
 
-  /** Called on the emitting thread before `emit` or `emitFloats` reads any result. */
-  protected def emitting(): Unit = ()
+  /** Adds every group of `o`, a table of this class, with `o` left
+    * untouched: `o`'s keys in the order `o` claimed them, probed from
+    * `shift` as in `aggregate`. A key new to this table thus takes the slot
+    * it would have taken had `o`'s input come after this table's. `o` must
+    * have no pending input ([[flush]]).
+    */
+  final def merge(o: AggTable[A], shift: Int): Unit = {
+    var i = 0
+    while (i < o.size) {
+      val j = o.order(i)
+      mergeSlot(slotOf(o.slotKey(j).toInt, shift), o, j)
+      i += 1
+    }
+  }
+
+  /** Adds the input a table still holds back into its accumulators, on the
+    * calling thread; `emit` starts with it.
+    */
+  def flush(): Unit = ()
 
   final def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    emitting()
+    flush()
     var p = outPos
     var h = 0
     while (h < cap) {
@@ -108,7 +155,7 @@ abstract class AggTable[A](val cap: Int) {
     * are floats widened, so narrowing them back loses nothing.
     */
   final def emitFloats(outKeys: Array[Int], outVals: Array[Float], outPos: Int): Int = {
-    emitting()
+    flush()
     var p = outPos
     var h = 0
     while (h < cap) {
@@ -121,6 +168,7 @@ abstract class AggTable[A](val cap: Int) {
 
 object AggTable {
   final val Free: Long = Long.MinValue
+  private final val Used = 16
 }
 
 /** Built-in double accumulator — the non-reproducible baseline. A slot
@@ -153,12 +201,15 @@ final class PlainFTable(cap: Int) extends AggTable[Array[Float]](cap) {
 }
 
 /** DECIMAL(19) reference: 64-bit integer accumulation of values scaled by
-  * 10^4 (the paper implements DECIMAL(p) as built-in integers).
+  * 10^4 (the paper implements DECIMAL(p) as built-in integers). Its sums,
+  * merges included, wrap modulo 2^64, so they do not depend on the order.
   */
 final class Dec64Table(cap: Int) extends AggTable[Array[Double]](cap) {
   private val sum = new Array[Long](cap)
 
   protected def init(h: Int): Unit = sum(h) = 0L
+  override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
+    sum(h) += o.asInstanceOf[Dec64Table].sum(j)
   protected def result(h: Int): Double = sum(h) / 10000.0
 
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
@@ -174,6 +225,8 @@ final class ReproDTable(cap: Int, val levels: Int) extends AggTable[Array[Double
   private val states = new ReproSlotsD(cap, levels)
 
   protected def init(h: Int): Unit = states.clear(h)
+  override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
+    states.merge(h, o.asInstanceOf[ReproDTable].states, j)
   protected def result(h: Int): Double = states.value(h)
 
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
@@ -187,6 +240,8 @@ final class ReproFTable(cap: Int, val levels: Int) extends AggTable[Array[Float]
   private val states = new ReproSlotsF(cap, levels)
 
   protected def init(h: Int): Unit = states.clear(h)
+  override protected def mergeSlot(h: Int, o: AggTable[Array[Float]], j: Int): Unit =
+    states.merge(h, o.asInstanceOf[ReproFTable].states, j)
   protected def result(h: Int): Double = states.value(h).toDouble
 
   def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
@@ -197,25 +252,29 @@ final class ReproFTable(cap: Int, val levels: Int) extends AggTable[Array[Float]
 
 /** `repro<double,L>` WITH summation buffers (§V-A, Fig. 5): each slot is
   * the repro state + a `bsz`-value buffer + its fill offset; values are
-  * appended per row and flushed through the vectorized kernel when full.
-  * The table holds no kernel scratch: `aggregate` and `emit` each take the
-  * running thread's kernel ([[RsumBatchD.forThread]]) once.
+  * appended per row and flushed through the vectorized kernel when full,
+  * and by `flush`. The table holds no kernel scratch: `aggregate` and
+  * `flush` each take the running thread's kernel
+  * ([[RsumBatchD.forThread]]) once.
   */
 final class BufDTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[Array[Double]](cap) {
   require(bsz >= 1, s"bsz must be >= 1, got $bsz")
   private val states = new ReproSlotsD(cap, levels)
   private val buf = new Array[Double](cap * bsz)
   private val fill = new Array[Int](cap)
-  private var kernel: RsumBatchD = _
-
-  override protected def emitting(): Unit = kernel = RsumBatchD.forThread(levels)
 
   protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
+  override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
+    states.merge(h, o.asInstanceOf[BufDTable].states, j)
+  protected def result(h: Int): Double = states.value(h)
 
-  protected def result(h: Int): Double = {
-    states.addBatch(h, buf, h * bsz, fill(h), kernel)
-    fill(h) = 0
-    states.value(h)
+  override def flush(): Unit = {
+    val k = RsumBatchD.forThread(levels)
+    var h = 0
+    while (h < cap) {
+      if (claimed(h) && fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
+      h += 1
+    }
   }
 
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit =
@@ -241,16 +300,19 @@ final class BufFTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[
   private val states = new ReproSlotsF(cap, levels)
   private val buf = new Array[Float](cap * bsz)
   private val fill = new Array[Int](cap)
-  private var kernel: RsumBatchD = _
-
-  override protected def emitting(): Unit = kernel = RsumBatchD.forThread(levels)
 
   protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
+  override protected def mergeSlot(h: Int, o: AggTable[Array[Float]], j: Int): Unit =
+    states.merge(h, o.asInstanceOf[BufFTable].states, j)
+  protected def result(h: Int): Double = states.value(h).toDouble
 
-  protected def result(h: Int): Double = {
-    states.addBatch(h, buf, h * bsz, fill(h), kernel)
-    fill(h) = 0
-    states.value(h).toDouble
+  override def flush(): Unit = {
+    val k = RsumBatchD.forThread(levels)
+    var h = 0
+    while (h < cap) {
+      if (claimed(h) && fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
+      h += 1
+    }
   }
 
   def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit =

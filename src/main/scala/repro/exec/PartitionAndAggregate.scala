@@ -21,14 +21,18 @@ object AggKind {
   * partitioning with fan-out 256, then HASHAGGREGATION of each partition,
   * both on up to `P` worker threads ([[Workers]]).
   *
-  * Partitions are disjoint in key space, so each is aggregated by one
-  * worker, in input order, and concatenating the per-partition results in
-  * partition order *is* the final merge: no state crosses threads, and the
-  * result's keys, bits and order do not depend on the worker count. (The
-  * cross-thread state merge of Alg. 4 lines 4-6 is exercised at the Spark
-  * layer, where partial aggregates of the same group really do meet.)
-  * Morsels with a state merge would change the plain-double baseline's
-  * bits with the worker count, and need a full table per morsel.
+  * At `d >= 1`, partitions are disjoint in key space, so each is aggregated
+  * by one worker, in input order, and concatenating the per-partition
+  * results in partition order *is* the final merge: no state crosses
+  * threads. At `d == 0` the one partition is cut into contiguous chunks,
+  * one per worker, each aggregated into a table of its own; the caller
+  * then merges the tables in chunk order (Alg. 4 lines 4-6, the morsels of
+  * Leis et al., SIGMOD 2014). Only kinds whose merge is exact take more
+  * than one chunk: the repro kinds, whose RSUM states merge to the bits of
+  * one sequential sum, and DECIMAL's wrapping integers. A merge of
+  * `double` or `float` partial sums would change the baseline's bits with
+  * the worker count, so those run as one chunk. Either way the
+  * result's keys, bits and order do not depend on the worker count.
   *
   * The paper reports "CPU time per element = T*P/n", which normalizes the
   * thread count away; its runners here (`TableIII`, `Fig4`, `Fig9`)
@@ -44,6 +48,12 @@ object PartitionAndAggregate {
     */
   val CacheBytes: Int = 1 << 20
   val BszMax: Int     = 1024
+
+  /** The fewest rows of a `d == 0` chunk. A chunk also has at least as
+    * many rows as its table has slots, so that flushing and merging the
+    * table cost no more than aggregating the chunk.
+    */
+  val MinChunkRows: Int = 4096
 
   /** Paper Eq. 4: buffer size that fills the per-thread cache budget with
     * `nGroups / F` group buffers of `sizeof(ScalarT)`-byte values.
@@ -92,7 +102,8 @@ object PartitionAndAggregate {
       case BufD(l, bsz) => () => new BufDTable(cap, l, bsz)
       case other => throw new IllegalArgumentException(s"${other.name} needs the float-typed entry point")
     }
-    aggregate(RadixPartition.partition(keys, values, d, workers), d, nGroups, workers, table, Doubles)
+    aggregate(RadixPartition.partition(keys, values, d, workers), d, nGroups, workers,
+              tables(kind, cap, workers, table), Doubles)
   }
 
   /** [[runF]] on up to `workers` threads, the caller's included. */
@@ -105,13 +116,45 @@ object PartitionAndAggregate {
       case BufF(l, bsz) => () => new BufFTable(cap, l, bsz)
       case other => throw new IllegalArgumentException(s"${other.name} needs the double-typed entry point")
     }
-    aggregate(RadixPartition.partitionF(keys, values, d, workers), d, nGroups, workers, table, Floats)
+    aggregate(RadixPartition.partitionF(keys, values, d, workers), d, nGroups, workers,
+              tables(kind, cap, workers, table), Floats)
   }
 
   /** Table capacity for the groups of one of the `256^d` partitions. */
   private def capacity(nGroups: Int, d: Int): Int = {
     val fanout = 1 << (8 * d)
     HashAgg.capacityFor(math.max(1, (nGroups + fanout - 1) / fanout))
+  }
+
+  /** The calling thread's tables of one table class: those of the last
+    * shape asked for, made by `make` on the worker that first needs one.
+    */
+  private final class Tables[A](val kind: AggKind, val cap: Int, val make: () => AggTable[A]) {
+    var all = new Array[AggTable[A]](0)
+
+    /** Worker `w`'s table, reset. */
+    def fresh(w: Int): AggTable[A] = {
+      if (all(w) == null) all(w) = make() else all(w).reset()
+      all(w)
+    }
+  }
+
+  // Pool threads keep no tables: each call's workers use its caller's, so
+  // callers that share the pool never share a table.
+  private val workspace = ThreadLocal.withInitial(() => new java.util.HashMap[Class[_], Tables[_]])
+
+  /** The calling thread's tables of `kind` with `cap` slots, room for
+    * `workers`; they replace those of any other shape of the same class.
+    */
+  private def tables[A](kind: AggKind, cap: Int, workers: Int, make: () => AggTable[A]): Tables[A] = {
+    val byClass = workspace.get
+    var ts = byClass.get(kind.getClass).asInstanceOf[Tables[A]]
+    if (ts == null || ts.kind != kind || ts.cap != cap) {
+      ts = new Tables(kind, cap, make)
+      byClass.put(kind.getClass, ts)
+    }
+    if (ts.all.length < workers) ts.all = java.util.Arrays.copyOf(ts.all, workers)
+    ts
   }
 
   /** How results of one value type are staged in their partition's rows
@@ -139,24 +182,41 @@ object PartitionAndAggregate {
   private def tooManyGroups(nGroups: Int): Nothing =
     throw new IllegalArgumentException(s"input holds more than $nGroups distinct keys")
 
-  /** HASHAGGREGATION of each non-empty partition. At `d == 0` the one
-    * partition is the caller's input, which is never written, so the
-    * caller's thread emits it into fresh arrays. Deeper, up to `workers`
-    * workers (the caller is worker 0) take partitions from one counter,
-    * each into its own table, reset between partitions. A worker emits
-    * partition `p` in place, at `offsets(p)`: its rows are dead once
-    * aggregated, and it has at least as many rows as groups. One pass then
-    * copies the results out in partition order. After a failure the other
-    * workers take no further partition.
+  /** HASHAGGREGATION of each non-empty partition on up to `workers`
+    * workers; the caller is worker 0, and worker `w` uses table `w`.
+    *
+    * At `d == 0` the one partition is the caller's input, which is never
+    * written. Chunk `w` of it goes into table `w`, which its worker then
+    * flushes; the caller merges the tables after the first into it, in
+    * chunk order, and emits it into fresh arrays. Table 0 thus claims every
+    * key in the order of its first row in the input, so it ends with the
+    * slots, and emits the order, of one table over the whole input.
+    *
+    * Deeper, the workers take partitions from one counter, each into its
+    * table, reset between partitions. A worker emits partition `p` in
+    * place, at `offsets(p)`: its rows are dead once aggregated, and it has
+    * at least as many rows as groups. One pass then copies the results out
+    * in partition order. After a failure the other workers take no further
+    * partition.
     */
   private def aggregate[A](part: Partitioned[A], d: Int, nGroups: Int, workers: Int,
-                           newTable: () => AggTable[A], staging: Staging[A]): (Array[Int], Array[Double]) = {
+                           tables: Tables[A], staging: Staging[A]): (Array[Int], Array[Double]) = {
     val offsets = part.offsets
     if (d == 0) {
       val n = offsets(1)
-      if (n == 0) return (new Array[Int](0), new Array[Double](0))
-      val table = newTable()
-      table.aggregate(part.keys, part.values, 0, n, 0)
+      val chunks = tables.kind match {
+        case PlainD | PlainF => 1
+        case _ => math.max(1, math.min(workers, n / math.max(MinChunkRows, tables.cap)))
+      }
+      def start(w: Int): Int = (n.toLong * w / chunks).toInt
+      Workers.run(chunks) { w =>
+        val t = tables.fresh(w)
+        t.aggregate(part.keys, part.values, start(w), start(w + 1), 0)
+        t.flush()
+      }
+      val table = tables.all(0)
+      var w = 1
+      while (w < chunks) { table.merge(tables.all(w), 0); w += 1 }
       if (table.size > nGroups) tooManyGroups(nGroups)
       val out = (new Array[Int](table.size), new Array[Double](table.size))
       table.emit(out._1, out._2, 0)
@@ -165,12 +225,11 @@ object PartitionAndAggregate {
     val parts = (0 until offsets.length - 1).filter(p => offsets(p + 1) > offsets(p)).toArray
     val sizes = new Array[Int](parts.length)
     val next = new AtomicInteger
-    Workers.run(math.max(1, math.min(workers, parts.length)), () => next.set(parts.length)) { _ =>
-      var table: AggTable[A] = null
+    Workers.run(math.max(1, math.min(workers, parts.length)), () => next.set(parts.length)) { w =>
       var i = next.getAndIncrement()
       while (i < parts.length) {
         val from = offsets(parts(i))
-        if (table == null) table = newTable() else table.reset()
+        val table = tables.fresh(w)
         table.aggregate(part.keys, part.values, from, offsets(parts(i) + 1), 8 * d)
         sizes(i) = staging.emit(table, part.keys, part.values, from) - from
         i = next.getAndIncrement()

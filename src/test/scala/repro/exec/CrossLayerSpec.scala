@@ -95,6 +95,48 @@ class CrossLayerSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("d=0 merge with colliding slots, every kind on 1 to 4 workers: the keys, bits and order of 1 worker; repro kinds: ReproDouble/ReproFloat bits") {
+    // 60 keys above the capacity whose identity slots are 0, 1 and 2: one
+    // probe cluster, where a key's slot depends on the order of the claims.
+    // Key i first appears in quarter i / 15 of the input, so every chunk
+    // claims keys, after those of the chunks before it.
+    val cap = HashAgg.capacityFor(60)
+    val keySet = Array.tabulate(60)(i => (i + 1) * cap + i % 3)
+    assert(Rows / 4 >= math.max(PartitionAndAggregate.MinChunkRows, cap), "4 workers would not split the input")
+    def quarters[A: ClassTag](rows: (Int, Long, Array[Int]) => (Array[Int], Array[A])): (Array[Int], Array[A]) = {
+      val qs = (1 to 4).map(q => rows(Rows / 4, 40L + q, keySet.take(15 * q)))
+      (qs.flatMap(_._1).toArray, qs.flatMap(_._2).toArray)
+    }
+    val (keys, vals) = quarters(FullDomain.doubles(_, _, _))
+    val (keysF, valsF) = quarters(FullDomain.floats(_, _, _))
+    val ref = FullDomain.reproBits(keys, vals, Levels)
+    val refF = FullDomain.reproBitsF(keysF, valsF, Levels)
+    assertCoversDomain(ref)
+    assertCoversDomain(refF)
+    val kinds = Seq(PlainD, Dec64, ReproD(Levels), BufD(Levels, 16), PlainF, ReproF(Levels), BufF(Levels, 16))
+    for (kind <- kinds) {
+      val out = (1 to 4).map { workers =>
+        kind match {
+          case PlainF | ReproF(_) | BufF(_, _) =>
+            PartitionAndAggregate.runF(keysF, valsF, keySet.length, 0, kind, workers)
+          case _ =>
+            PartitionAndAggregate.run(keys, vals, keySet.length, 0, kind, workers)
+        }
+      }
+      val (k1, v1) = out.head
+      assert(!k1.sameElements(keys.distinct), s"${kind.name}: slot order is claim order")
+      for (workers <- 2 to 4) {
+        val (k, v) = out(workers - 1)
+        assert(k.sameElements(k1) && v.map(bits).sameElements(v1.map(bits)), s"${kind.name}, workers=$workers")
+      }
+      kind match {
+        case ReproD(_) | BufD(_, _) => assert(groupBits(out.head) == ref, kind.name)
+        case ReproF(_) | BufF(_, _) => assert(groupBits(out.head) == refF, kind.name)
+        case _ =>
+      }
+    }
+  }
 }
 
 /** Inputs outside what a table or `nGroups` can hold must fail with an
@@ -123,6 +165,28 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
       case _ =>
         PartitionAndAggregate.run(keys, Array.fill(keys.length)(1.0), nGroups, d, kind)
     }
+
+  /** One input in both precisions: the keys of the float rows may differ. */
+  private final class Input(keys: Array[Int], vals: Array[Double], keysF: Array[Int], valsF: Array[Float],
+                            nGroups: Int) {
+    def run(kind: AggKind, workers: Int): (Array[Int], Array[Double]) = kind match {
+      case PlainF | ReproF(_) | BufF(_, _) => PartitionAndAggregate.runF(keysF, valsF, nGroups, 0, kind, workers)
+      case _                               => PartitionAndAggregate.run(keys, vals, nGroups, 0, kind, workers)
+    }
+  }
+
+  /** `in` at d = 0 on `workers` workers gives the keys, order and bits of
+    * one worker on a new thread, whose workspace holds no table.
+    */
+  private def assertSameAsFresh(kind: AggKind, in: Input, workers: Int): Unit = {
+    var fresh: (Array[Int], Array[Double]) = null
+    val t = new Thread(() => fresh = in.run(kind, 1))
+    t.start()
+    t.join()
+    val (k, v) = in.run(kind, workers)
+    assert(fresh != null, s"${kind.name} failed on a new thread")
+    assert(k.sameElements(fresh._1) && v.map(bits).sameElements(fresh._2.map(bits)), kind.name)
+  }
 
   /** [[countByKey]] on `workers` threads. */
   private def countByKeyOn(kind: AggKind, keys: Array[Int], nGroups: Int, d: Int,
@@ -172,6 +236,55 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
         intercept[IllegalArgumentException](limited(countByKeyOn(kind, ok, ok.length - 1, 2, workers)))
         val (k, v) = limited(countByKeyOn(kind, ok, ok.length, 2, workers))
         assert(k.sameElements(ok) && v.forall(_ == 1.0))
+      }
+  }
+
+  test("more groups than the largest table throws IllegalArgumentException, without a probe loop") {
+    assert(HashAgg.capacityFor(1 << 29) == HashAgg.MaxCapacity)
+    for (x <- Seq((1 << 29) + 1, 600000000, 1 << 30, (1 << 30) + 1, Int.MaxValue))
+      withClue(s"capacityFor($x): ")(intercept[IllegalArgumentException](limited(HashAgg.capacityFor(x))))
+    for (kind <- allKinds)
+      withClue(s"${kind.name}: ")(intercept[IllegalArgumentException](limited(countByKey(kind, Array(1, 2, 1), 600000000, 0))))
+  }
+
+  test("d=0 on 2 and 4 workers: a chunk's refusal reaches the caller as itself, and no dirty or stale table leaks into a later result") {
+    // 12 keys in the first three quarters, 8 more in the last: the chunk
+    // that holds the last quarter sees 20 keys, more than the 16-slot table
+    // of nGroups = 8 takes, while the others stop with huge and non-finite
+    // values in their states.
+    def input(nGroups: Int, parts: (Int, Long, Array[Int])*): Input = {
+      val ds = parts.map { case (n, seed, keySet) => FullDomain.doubles(n, seed, keySet) }
+      val fs = parts.map { case (n, seed, keySet) => FullDomain.floats(n, seed, keySet) }
+      new Input(ds.flatMap(_._1).toArray, ds.flatMap(_._2).toArray, fs.flatMap(_._1).toArray, fs.flatMap(_._2).toArray,
+                nGroups)
+    }
+    val (a, b) = FullDomain.Keys.splitAt(12)
+    val failing = input(8, (15000, 1L, a), (5000, 2L, a ++ b.take(8)))
+    val ok = input(8, (20000, 3L, a.take(8)))                          // the failed shape
+    val other = input(40, (20000, 4L, FullDomain.Keys.take(40)))       // a larger capacity
+    /** The same class in another shape: other levels and buffer size. */
+    def reshaped(kind: AggKind): AggKind = kind match {
+      case ReproD(l)    => ReproD(l + 1)
+      case ReproF(l)    => ReproF(l + 1)
+      case BufD(l, bsz) => BufD(l + 1, 2 * bsz + 1)
+      case BufF(l, bsz) => BufF(l + 1, 2 * bsz + 1)
+      case k            => k
+    }
+    for (workers <- Seq(2, 4); kind <- allKinds)
+      withClue(s"${kind.name}, workers=$workers: ") {
+        val otherKind = if (kind == ReproD(2)) BufD(2, 16) else ReproD(2)
+        limited {
+          def fails(): Unit = {
+            val e = intercept[IllegalArgumentException](failing.run(kind, workers))
+            assert(e.getMessage.contains("last free slot"), e.getMessage)
+          }
+          fails()
+          assertSameAsFresh(otherKind, other, workers)
+          assertSameAsFresh(kind, ok, workers)        // the failed call's tables
+          fails()
+          assertSameAsFresh(reshaped(kind), other, workers)
+          assertSameAsFresh(kind, ok, workers)
+        }
       }
   }
 
