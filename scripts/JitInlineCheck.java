@@ -21,7 +21,11 @@ import repro.exec.ReproFTable;
   * Spark's rsum and rsum_buffered aggregates. One PartitionAndAggregate.run
   * of BufD at d = 0 per round runs the BufDTable loop on every worker,
   * pool threads included, over chunks of the input, and merges the
-  * workers' tables. See jit-inline-check.sh.
+  * workers' tables. One run of BufD (bsz 32) at d = 1 per round, over the
+  * keys of about 4 rows per group, partitions into the rows the calling
+  * thread keeps and runs the short-flush BufDTable loop on every worker;
+  * the kept rows must fit the check's heap beside everything else. See
+  * jit-inline-check.sh.
   */
 public class JitInlineCheck {
   public static void main(String[] args) {
@@ -40,6 +44,7 @@ public class JitInlineCheck {
     int[] wideOutKeys = new int[wideGroups];
     double[] wideOutVals = new double[wideGroups];
     AggKind bufKind = new AggKind.BufD(levels, 128);
+    AggKind wideKind = new AggKind.BufD(levels, 32);
     int[] outKeys = new int[groups];
     double[] outVals = new double[groups];
     double sink = 0;
@@ -66,6 +71,7 @@ public class JitInlineCheck {
       for (int i = 0; i < n; i++) rsum.add(vals[i]);
       sink += rsum.value();
       sink += PartitionAndAggregate.run(keys, vals, groups, 0, bufKind)._2()[0];
+      sink += PartitionAndAggregate.run(wideKeys, vals, wideGroups, 1, wideKind)._2()[0];
       BufferedReproDouble rsumBuffered = new BufferedReproDouble(levels, 256);
       for (int i = 0; i < n; i++) rsumBuffered.add(vals[i]);
       sink += rsumBuffered.value();

@@ -12,10 +12,11 @@
 # loop, a ReproDouble.add loop, BufferedReproDouble.add loops at bsz 0 and
 # 256 (the state of Spark's rsum and rsum_buffered) and two BufDTable
 # loops, full flushes and short ones at about 4 rows per group, that keep
-# the batched kernel compiled beside them) with -XX:+PrintInlining on the
-# benchmark's heap and collector, prints every inlining decision about the
-# four methods, and exits 1 if any of them reads "already compiled into a
-# big method" or "hot method too big".
+# the batched kernel compiled beside them, and PartitionAndAggregate runs of
+# BufD at d = 0 and d = 1 that run the BufDTable loops on every worker) with
+# -XX:+PrintInlining on the benchmark's heap and collector, prints every
+# inlining decision about the four methods, and exits 1 if any of them reads
+# "already compiled into a big method" or "hot method too big".
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -14,7 +14,9 @@ import repro.core._
   * each calling thread's tables of the last shape it asked for, one per
   * worker, and resets them between partitions and calls (the paper's
   * operators do the same; per-partition allocation would dominate the run
-  * time and wreck the cache footprint the experiments study).
+  * time and wreck the cache footprint the experiments study). It keeps
+  * the radix pass's output rows the same way, and `emit` writes each
+  * partition's results into those rows.
   *
   * `aggregate` accumulates `keys/values(from until to)` probing from
   * `(key >>> shift) & (cap-1)` — after `d` partitioning levels the low

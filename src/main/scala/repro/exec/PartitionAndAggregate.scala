@@ -34,6 +34,13 @@ object AggKind {
   * the worker count, so those run as one chunk. Either way the
   * result's keys, bits and order do not depend on the worker count.
   *
+  * A call's tables and, at `d >= 1`, the radix pass's output rows and
+  * partition bounds belong to the calling thread: each is kept at the last
+  * shape asked for and reused by the next call of that shape. Per value
+  * type that is up to `min(d, 2)` pairs of `n` rows (12 B a row for
+  * double, 8 B for float), plus 8 B per partition. A warm call allocates
+  * only its result, 12 B per group.
+  *
   * The paper reports "CPU time per element = T*P/n", which normalizes the
   * thread count away; its runners here (`TableIII`, `Fig4`, `Fig9`)
   * pass one worker so their per-thread figures keep that meaning.
@@ -59,9 +66,9 @@ object PartitionAndAggregate {
     * `nGroups / F` group buffers of `sizeof(ScalarT)`-byte values.
     */
   def bszFor(nGroups: Int, fanout: Int, bytesPerValue: Int): Int = {
-    val groupsPerPart = math.max(1, (nGroups + fanout - 1) / fanout)
+    val groupsPerPart = math.max(1L, (nGroups.toLong + fanout - 1) / fanout)
     val b = CacheBytes / (groupsPerPart * bytesPerValue)
-    math.max(8, math.min(b, BszMax))
+    math.max(8L, math.min(b, BszMax.toLong)).toInt
   }
 
   /** Offline-tuned partitioning depth for the buffered repro types,
@@ -102,8 +109,8 @@ object PartitionAndAggregate {
       case BufD(l, bsz) => () => new BufDTable(cap, l, bsz)
       case other => throw new IllegalArgumentException(s"${other.name} needs the float-typed entry point")
     }
-    aggregate(RadixPartition.partition(keys, values, d, workers), d, nGroups, workers,
-              tables(kind, cap, workers, table), Doubles)
+    val ws = workspace.get
+    aggregate(keys, values, d, nGroups, workers, ws.tables(kind, cap, workers, table), ws.doubles)
   }
 
   /** [[runF]] on up to `workers` threads, the caller's included. */
@@ -116,14 +123,15 @@ object PartitionAndAggregate {
       case BufF(l, bsz) => () => new BufFTable(cap, l, bsz)
       case other => throw new IllegalArgumentException(s"${other.name} needs the double-typed entry point")
     }
-    aggregate(RadixPartition.partitionF(keys, values, d, workers), d, nGroups, workers,
-              tables(kind, cap, workers, table), Floats)
+    val ws = workspace.get
+    aggregate(keys, values, d, nGroups, workers, ws.tables(kind, cap, workers, table), ws.floats)
   }
 
   /** Table capacity for the groups of one of the `256^d` partitions. */
-  private def capacity(nGroups: Int, d: Int): Int = {
-    val fanout = 1 << (8 * d)
-    HashAgg.capacityFor(math.max(1, (nGroups + fanout - 1) / fanout))
+  private[exec] def capacity(nGroups: Int, d: Int): Int = {
+    require(d >= 0 && d <= 3, s"partition depth must be in [0,3], got $d")
+    val fanout = RadixPartition.fanout(d)
+    HashAgg.capacityFor(math.max(1L, (nGroups.toLong + fanout - 1) / fanout).toInt)
   }
 
   /** The calling thread's tables of one table class: those of the last
@@ -139,38 +147,58 @@ object PartitionAndAggregate {
     }
   }
 
-  // Pool threads keep no tables: each call's workers use its caller's, so
-  // callers that share the pool never share a table.
-  private val workspace = ThreadLocal.withInitial(() => new java.util.HashMap[Class[_], Tables[_]])
-
-  /** The calling thread's tables of `kind` with `cap` slots, room for
-    * `workers`; they replace those of any other shape of the same class.
+  /** The calling thread's radix-pass arrays for one value type `A`, and how
+    * results of that type are staged in their partition's rows and copied
+    * out. Pair 0 takes the output of every call with `d >= 1`, pair 1 the
+    * ping-pong of `d >= 2`; each, like the partition bounds, has the size
+    * of the last call that used it.
     */
-  private def tables[A](kind: AggKind, cap: Int, workers: Int, make: () => AggTable[A]): Tables[A] = {
-    val byClass = workspace.get
-    var ts = byClass.get(kind.getClass).asInstanceOf[Tables[A]]
-    if (ts == null || ts.kind != kind || ts.cap != cap) {
-      ts = new Tables(kind, cap, make)
-      byClass.put(kind.getClass, ts)
-    }
-    if (ts.all.length < workers) ts.all = java.util.Arrays.copyOf(ts.all, workers)
-    ts
-  }
+  private sealed abstract class Rows[A] {
+    private val pairs = new Array[(Array[Int], A)](2)
+    private var offsets = new Array[Int](0)
+    /** The groups emitted per non-empty partition of the last call. */
+    var sizes = new Array[Int](0)
 
-  /** How results of one value type are staged in their partition's rows
-    * and copied out.
-    */
-  private sealed abstract class Staging[A] {
+    protected def alloc(n: Int): A
+    protected def levels(keys: Array[Int], values: A, d: Int, workers: Int,
+                         out: Seq[(Array[Int], A)], offsets: Array[Int]): Partitioned[A]
     def emit(t: AggTable[A], keys: Array[Int], values: A, pos: Int): Int
     def copy(values: A, from: Int, out: Array[Double], pos: Int, n: Int): Unit
+
+    /** `d >= 1` levels of partitioning of the caller's rows into this
+      * thread's arrays.
+      */
+    def partition(keys: Array[Int], values: A, d: Int, workers: Int): Partitioned[A] = {
+      val n = keys.length
+      val used = math.min(d, 2)
+      var i = 0
+      while (i < used) {
+        if (pairs(i) == null || pairs(i)._1.length != n) {
+          pairs(i) = null // a collection during the allocation may reclaim the old pair
+          pairs(i) = (new Array[Int](n), alloc(n))
+        }
+        i += 1
+      }
+      val fanout = RadixPartition.fanout(d)
+      if (offsets.length != fanout + 1) { offsets = new Array[Int](fanout + 1); sizes = new Array[Int](fanout) }
+      levels(keys, values, d, workers, pairs.toSeq.take(used), offsets)
+    }
   }
-  private object Doubles extends Staging[Array[Double]] {
+  private final class Doubles extends Rows[Array[Double]] {
+    protected def alloc(n: Int): Array[Double] = new Array[Double](n)
+    protected def levels(keys: Array[Int], values: Array[Double], d: Int, workers: Int,
+                         out: Seq[(Array[Int], Array[Double])], offsets: Array[Int]): Partitioned[Array[Double]] =
+      RadixPartition.partition(keys, values, d, workers, out, offsets)
     def emit(t: AggTable[Array[Double]], keys: Array[Int], values: Array[Double], pos: Int): Int =
       t.emit(keys, values, pos)
     def copy(values: Array[Double], from: Int, out: Array[Double], pos: Int, n: Int): Unit =
       System.arraycopy(values, from, out, pos, n)
   }
-  private object Floats extends Staging[Array[Float]] {
+  private final class Floats extends Rows[Array[Float]] {
+    protected def alloc(n: Int): Array[Float] = new Array[Float](n)
+    protected def levels(keys: Array[Int], values: Array[Float], d: Int, workers: Int,
+                         out: Seq[(Array[Int], Array[Float])], offsets: Array[Int]): Partitioned[Array[Float]] =
+      RadixPartition.partitionF(keys, values, d, workers, out, offsets)
     def emit(t: AggTable[Array[Float]], keys: Array[Int], values: Array[Float], pos: Int): Int =
       t.emitFloats(keys, values, pos)
     def copy(values: Array[Float], from: Int, out: Array[Double], pos: Int, n: Int): Unit = {
@@ -178,6 +206,32 @@ object PartitionAndAggregate {
       while (i < n) { out(pos + i) = values(from + i); i += 1 }
     }
   }
+
+  /** A calling thread's reused memory: its tables, one class of them per
+    * table class, and its radix-pass arrays, one set per value type. Pool
+    * threads keep none: each call's workers use its caller's, so callers
+    * that share the pool never share a table or a row.
+    */
+  private final class Workspace {
+    private val byClass = new java.util.HashMap[Class[_], Tables[_]]
+    val doubles = new Doubles
+    val floats = new Floats
+
+    /** The tables of `kind` with `cap` slots, room for `workers`; they
+      * replace those of any other shape of the same class.
+      */
+    def tables[A](kind: AggKind, cap: Int, workers: Int, make: () => AggTable[A]): Tables[A] = {
+      var ts = byClass.get(kind.getClass).asInstanceOf[Tables[A]]
+      if (ts == null || ts.kind != kind || ts.cap != cap) {
+        ts = new Tables(kind, cap, make)
+        byClass.put(kind.getClass, ts)
+      }
+      if (ts.all.length < workers) ts.all = java.util.Arrays.copyOf(ts.all, workers)
+      ts
+    }
+  }
+
+  private val workspace = ThreadLocal.withInitial(() => new Workspace)
 
   private def tooManyGroups(nGroups: Int): Nothing =
     throw new IllegalArgumentException(s"input holds more than $nGroups distinct keys")
@@ -192,18 +246,19 @@ object PartitionAndAggregate {
     * key in the order of its first row in the input, so it ends with the
     * slots, and emits the order, of one table over the whole input.
     *
-    * Deeper, the workers take partitions from one counter, each into its
-    * table, reset between partitions. A worker emits partition `p` in
-    * place, at `offsets(p)`: its rows are dead once aggregated, and it has
-    * at least as many rows as groups. One pass then copies the results out
-    * in partition order. After a failure the other workers take no further
-    * partition.
+    * Deeper, `rows` partitions the input into the calling thread's arrays,
+    * and the workers take the non-empty partitions from one counter, each
+    * into its table, reset between partitions. A worker emits partition
+    * `i` in place, at its first row: its rows are dead once aggregated,
+    * and it has at least as many rows as groups. One pass then copies the
+    * results out in partition order into exact-size arrays, the only ones
+    * a warm call allocates. After a failure the other workers take no
+    * further partition.
     */
-  private def aggregate[A](part: Partitioned[A], d: Int, nGroups: Int, workers: Int,
-                           tables: Tables[A], staging: Staging[A]): (Array[Int], Array[Double]) = {
-    val offsets = part.offsets
+  private def aggregate[A](keys: Array[Int], values: A, d: Int, nGroups: Int, workers: Int,
+                           tables: Tables[A], rows: Rows[A]): (Array[Int], Array[Double]) = {
     if (d == 0) {
-      val n = offsets(1)
+      val n = keys.length
       val chunks = tables.kind match {
         case PlainD | PlainF => 1
         case _ => math.max(1, math.min(workers, n / math.max(MinChunkRows, tables.cap)))
@@ -211,7 +266,7 @@ object PartitionAndAggregate {
       def start(w: Int): Int = (n.toLong * w / chunks).toInt
       Workers.run(chunks) { w =>
         val t = tables.fresh(w)
-        t.aggregate(part.keys, part.values, start(w), start(w + 1), 0)
+        t.aggregate(keys, values, start(w), start(w + 1), 0)
         t.flush()
       }
       val table = tables.all(0)
@@ -222,29 +277,42 @@ object PartitionAndAggregate {
       table.emit(out._1, out._2, 0)
       return out
     }
-    val parts = (0 until offsets.length - 1).filter(p => offsets(p + 1) > offsets(p)).toArray
-    val sizes = new Array[Int](parts.length)
+    val part = rows.partition(keys, values, d, workers)
+    // Compact the bounds, in place, to those of the non-empty partitions:
+    // the i-th of them then holds rows offsets(i) until offsets(i + 1).
+    val offsets = part.offsets
+    val fanout = RadixPartition.fanout(d)
+    var parts = 0
+    var p = 0
+    while (p < fanout) {
+      if (offsets(p + 1) > offsets(p)) { offsets(parts) = offsets(p); parts += 1 }
+      p += 1
+    }
+    offsets(parts) = offsets(fanout)
+    val nParts = parts
+    val sizes = rows.sizes
     val next = new AtomicInteger
-    Workers.run(math.max(1, math.min(workers, parts.length)), () => next.set(parts.length)) { w =>
+    Workers.run(math.max(1, math.min(workers, nParts)), () => next.set(nParts)) { w =>
       var i = next.getAndIncrement()
-      while (i < parts.length) {
-        val from = offsets(parts(i))
+      while (i < nParts) {
+        val from = offsets(i)
         val table = tables.fresh(w)
-        table.aggregate(part.keys, part.values, from, offsets(parts(i) + 1), 8 * d)
-        sizes(i) = staging.emit(table, part.keys, part.values, from) - from
+        table.aggregate(part.keys, part.values, from, offsets(i + 1), 8 * d)
+        sizes(i) = rows.emit(table, part.keys, part.values, from) - from
         i = next.getAndIncrement()
       }
     }
-    val total = sizes.foldLeft(0L)(_ + _)
+    var total = 0L
+    var i = 0
+    while (i < nParts) { total += sizes(i); i += 1 }
     if (total > nGroups) tooManyGroups(nGroups)
     val outKeys = new Array[Int](total.toInt)
     val outVals = new Array[Double](total.toInt)
     var pos = 0
-    var i = 0
-    while (i < parts.length) {
-      val from = offsets(parts(i))
-      System.arraycopy(part.keys, from, outKeys, pos, sizes(i))
-      staging.copy(part.values, from, outVals, pos, sizes(i))
+    i = 0
+    while (i < nParts) {
+      System.arraycopy(part.keys, offsets(i), outKeys, pos, sizes(i))
+      rows.copy(part.values, offsets(i), outVals, pos, sizes(i))
       pos += sizes(i)
       i += 1
     }

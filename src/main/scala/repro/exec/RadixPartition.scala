@@ -17,20 +17,24 @@ package repro.exec
   * chunk-minor, and each worker scatters its own chunk. A chunk's keys of a
   * byte land after those of the chunks before it, in input order, so the
   * output is the one stable partition whatever the worker count.
+  *
+  * The passes write into at most two output pairs of keys and values. The
+  * public `partition`/`partitionF` allocate them, so the caller owns the
+  * result; [[PartitionAndAggregate]] passes the pairs and the offsets
+  * array that its calling thread keeps across calls.
   */
 object RadixPartition {
 
-  /** `b(p)`, for `p` in `0..mask+1`: how many keys have `(key >>> shift) &
-    * mask` below `p`, i.e. where the keys of bucket `p` start in a stable
-    * counting sort.
+  /** Writes to `b(p)`, for `p` in `0..mask+1`, how many keys have
+    * `(key >>> shift) & mask` below `p`, i.e. where the keys of bucket `p`
+    * start in a stable counting sort.
     */
-  private def bounds(keys: Array[Int], shift: Int, mask: Int): Array[Int] = {
-    val b = new Array[Int](mask + 2)
+  private def bounds(keys: Array[Int], shift: Int, mask: Int, b: Array[Int]): Unit = {
+    java.util.Arrays.fill(b, 0, mask + 2, 0)
     var i = 0
     while (i < keys.length) { b(((keys(i) >>> shift) & mask) + 1) += 1; i += 1 }
     i = 0
     while (i <= mask) { b(i + 1) += b(i); i += 1 }
-    b
   }
 
   /** Adds the byte histogram of `keys(from until to)` to `hist(at until at + 256)`. */
@@ -80,7 +84,8 @@ object RadixPartition {
 
   /** `d` levels of partitioning of double-valued records; `d == 0` is a
     * no-op forward (paper: "PARALLELPARTITION is a no-op that forwards its
-    * input" when F=1). The caller's arrays are never written.
+    * input" when F=1). The caller's arrays are never written; at `d >= 1`
+    * the result's arrays are fresh ones that the caller owns.
     */
   def partition(keys: Array[Int], values: Array[Double], d: Int): PartitionedD =
     partition(keys, values, d, Workers.P)
@@ -91,27 +96,50 @@ object RadixPartition {
 
   /** [[partition]] on `workers` threads, the caller's included. */
   private[repro] def partition(keys: Array[Int], values: Array[Double], d: Int, workers: Int): PartitionedD =
-    levels(keys, values, d, workers, new Array[Double](_), pass)
+    partition(keys, values, d, workers, fresh(keys.length, d, new Array[Double](_)), new Array[Int](fanout(d) + 1))
 
   /** [[partitionF]] on `workers` threads, the caller's included. */
   private[repro] def partitionF(keys: Array[Int], values: Array[Float], d: Int, workers: Int): PartitionedF =
-    levels(keys, values, d, workers, new Array[Float](_), passF)
+    partitionF(keys, values, d, workers, fresh(keys.length, d, new Array[Float](_)), new Array[Int](fanout(d) + 1))
+
+  /** [[partition]] into the caller's arrays: `out` holds `min(d, 2)` pairs
+    * of at least `keys.length` rows, and `offsets` at least `256^d + 1`
+    * entries. At `d >= 1` the result holds the last pair written and
+    * `offsets`; at `d == 0` it is the input, and neither is written.
+    */
+  private[repro] def partition(keys: Array[Int], values: Array[Double], d: Int, workers: Int,
+                               out: Seq[(Array[Int], Array[Double])], offsets: Array[Int]): PartitionedD =
+    levels(keys, values, d, workers, out, offsets, pass)
+
+  /** [[partitionF]] into the caller's arrays, as [[partition]]. */
+  private[repro] def partitionF(keys: Array[Int], values: Array[Float], d: Int, workers: Int,
+                                out: Seq[(Array[Int], Array[Float])], offsets: Array[Int]): PartitionedF =
+    levels(keys, values, d, workers, out, offsets, passF)
+
+  /** `256^d`, the partition count of `d` levels. */
+  private[repro] def fanout(d: Int): Int = 1 << (8 * d)
+
+  /** The `min(d, 2)` output pairs of `n` rows that `d` levels write. */
+  private def fresh[V](n: Int, d: Int, alloc: Int => V): Seq[(Array[Int], V)] =
+    Seq.fill(math.min(d, 2))((new Array[Int](n), alloc(n)))
 
   /** The level loop of both precisions: the first pass reads the caller's
-    * arrays, later ones ping-pong between (at most two) fresh output pairs.
+    * arrays, later ones ping-pong between the (at most two) pairs of `out`.
     * At `d == 1` the partition boundaries are the one pass's prefix sums;
     * deeper, they count the input keys, since counts do not depend on order.
     */
-  private def levels[V](keys: Array[Int], values: V, d: Int, workers: Int, alloc: Int => V,
+  private def levels[V](keys: Array[Int], values: V, d: Int, workers: Int, out: Seq[(Array[Int], V)],
+                        offsets: Array[Int],
                         scatter: (Array[Int], V, Array[Int], V, Int, Array[Int], Int, Int, Int) => Unit): Partitioned[V] = {
     require(d >= 0 && d <= 3, s"partition depth must be in [0,3], got $d")
     require(workers >= 1, s"workers must be >= 1, got $workers")
     val n = keys.length
     if (d == 0) return Partitioned(keys, values, Array(0, n))
+    require(out.length >= math.min(d, 2) && out.forall(_._1.length >= n) && offsets.length > fanout(d),
+            s"too small output arrays for $d levels of $n rows")
     val chunks = math.max(1, math.min(workers, n))
     def start(c: Int): Int = (n.toLong * c / chunks).toInt
-    var offsets = if (d == 1) null else bounds(keys, 0, (1 << (8 * d)) - 1)
-    val out = Seq.fill(math.min(d, 2))((new Array[Int](n), alloc(n)))
+    if (d > 1) bounds(keys, 0, fanout(d) - 1, offsets)
     var kIn = keys; var vIn = values
     var level = 0
     while (level < d) {
@@ -127,7 +155,7 @@ object RadixPartition {
         while (c < chunks) { val h = next(256 * c + b); next(256 * c + b) = sum; sum += h; c += 1 }
         b += 1
       }
-      if (d == 1) { offsets = java.util.Arrays.copyOf(next, 257); offsets(256) = n }
+      if (d == 1) { System.arraycopy(next, 0, offsets, 0, 256); offsets(256) = n }
       Workers.run(chunks)(c => scatter(k, v, kOut, vOut, shift, next, 256 * c, start(c), start(c + 1)))
       kIn = kOut; vIn = vOut
       level += 1

@@ -10,7 +10,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.time.{Seconds, Span}
 
 import repro.FullDomain
-import repro.core.ExactSum.bits
+import repro.core.ExactSum.{bits, bitsF}
 
 /** The same multisets through `ReproDouble`/`ReproFloat` and through
   * `PartitionAndAggregate` must give the same result bits, for the whole
@@ -137,6 +137,47 @@ class CrossLayerSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("back-to-back run/runF at d=1 and 2 on 1 and 4 workers: earlier results stay put, no two share an array, inputs stay bit-identical, each result that of 1 worker on a new thread") {
+    // double -> float -> double, and the rows of each type growing, then
+    // shrinking: every call reuses or replaces the arrays of the one before.
+    val calls = Seq(BufD(Levels, 16) -> Rows / 2, BufF(Levels, 16) -> Rows / 2, ReproD(Levels) -> Rows,
+                    PlainD -> Rows / 4, ReproF(Levels) -> Rows, PlainF -> Rows / 4, Dec64 -> Rows / 2,
+                    BufF(Levels, 16) -> Rows / 2)
+    val keySet = FullDomain.keys(600)
+    for (d <- 1 to 2; workers <- Seq(1, 4)) {
+      val kept = scala.collection.mutable.ArrayBuffer[((Array[Int], Array[Double]), Array[Int], Array[Long])]()
+      for (((kind, n), c) <- calls.zipWithIndex) {
+        val clue = s"d=$d, workers=$workers, call $c (${kind.name}, $n rows)"
+        val seed = 100L * d + 10 * workers + c
+        val (call, unchanged): (Int => (Array[Int], Array[Double]), () => Boolean) = kind match {
+          case PlainF | ReproF(_) | BufF(_, _) =>
+            val (keys, vals) = FullDomain.floats(n, seed, keySet)
+            val (keys0, vals0) = (keys.clone(), vals.map(bitsF))
+            (w => PartitionAndAggregate.runF(keys, vals, keySet.length, d, kind, w),
+             () => keys.sameElements(keys0) && vals.map(bitsF).sameElements(vals0))
+          case _ =>
+            val (keys, vals) = FullDomain.doubles(n, seed, keySet)
+            val (keys0, vals0) = (keys.clone(), vals.map(bits))
+            (w => PartitionAndAggregate.run(keys, vals, keySet.length, d, kind, w),
+             () => keys.sameElements(keys0) && vals.map(bits).sameElements(vals0))
+        }
+        var fresh: (Array[Int], Array[Double]) = null
+        val t = new Thread(() => fresh = call(1))
+        t.start()
+        t.join()
+        assert(fresh != null, s"$clue: failed on a new thread")
+        val out = call(workers)
+        assert(unchanged(), s"$clue: the caller's rows changed")
+        assert(out._1.sameElements(fresh._1) && out._2.map(bits).sameElements(fresh._2.map(bits)), clue)
+        for (((o, k, v), e) <- kept.zipWithIndex) {
+          assert(o._1.sameElements(k) && o._2.map(bits).sameElements(v), s"$clue: call $e's result changed")
+          assert((o._1 ne out._1) && (o._2 ne out._2), s"$clue: shares an array with call $e's result")
+        }
+        kept += ((out, out._1.clone(), out._2.map(bits)))
+      }
+    }
+  }
 }
 
 /** Inputs outside what a table or `nGroups` can hold must fail with an
@@ -168,15 +209,15 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
 
   /** One input in both precisions: the keys of the float rows may differ. */
   private final class Input(keys: Array[Int], vals: Array[Double], keysF: Array[Int], valsF: Array[Float],
-                            nGroups: Int) {
+                            nGroups: Int, d: Int = 0) {
     def run(kind: AggKind, workers: Int): (Array[Int], Array[Double]) = kind match {
-      case PlainF | ReproF(_) | BufF(_, _) => PartitionAndAggregate.runF(keysF, valsF, nGroups, 0, kind, workers)
-      case _                               => PartitionAndAggregate.run(keys, vals, nGroups, 0, kind, workers)
+      case PlainF | ReproF(_) | BufF(_, _) => PartitionAndAggregate.runF(keysF, valsF, nGroups, d, kind, workers)
+      case _                               => PartitionAndAggregate.run(keys, vals, nGroups, d, kind, workers)
     }
   }
 
-  /** `in` at d = 0 on `workers` workers gives the keys, order and bits of
-    * one worker on a new thread, whose workspace holds no table.
+  /** `in` on `workers` workers gives the keys, order and bits of one
+    * worker on a new thread, whose workspace holds no table and no rows.
     */
   private def assertSameAsFresh(kind: AggKind, in: Input, workers: Int): Unit = {
     var fresh: (Array[Int], Array[Double]) = null
@@ -286,6 +327,59 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
           assertSameAsFresh(kind, ok, workers)
         }
       }
+  }
+
+  test("d=1 on 1 and 4 workers: a call refused for too many groups leaves no dirty rows in a later result") {
+    // 600 keys, a few per partition: every partition fits its 16-slot
+    // table, so the refusal comes only once every partition is emitted in
+    // place.
+    def input(nGroups: Int, n: Int, seed: Long, keySet: Array[Int]): Input = {
+      val (keys, vals) = FullDomain.doubles(n, seed, keySet)
+      val (keysF, valsF) = FullDomain.floats(n, seed + 1, keySet)
+      new Input(keys, vals, keysF, valsF, nGroups, d = 1)
+    }
+    val keySet = FullDomain.keys(600)
+    val failing = input(599, 20000, 1L, keySet)
+    val ok = input(599, 20000, 3L, keySet.take(599))        // the failed call's rows
+    val smaller = input(599, 5000, 5L, keySet.take(300))    // fewer rows
+    for (workers <- Seq(1, 4); kind <- allKinds)
+      withClue(s"${kind.name}, workers=$workers: ") {
+        limited {
+          def fails(): Unit = {
+            val e = intercept[IllegalArgumentException](failing.run(kind, workers))
+            assert(e.getMessage.contains("more than 599 distinct keys"), e.getMessage)
+          }
+          fails()
+          assertSameAsFresh(kind, ok, workers)
+          fails()
+          assertSameAsFresh(kind, smaller, workers)
+          fails()
+          assertSameAsFresh(kind, ok, workers)
+        }
+      }
+  }
+
+  test("nGroups near Int.MaxValue at d=2 sizes the tables in Long: no 16-slot table refuses valid input") {
+    // 40 keys in partition 5: more than a 16-slot table takes, far fewer
+    // than the 65536 slots of Int.MaxValue groups over 65536 partitions.
+    val keys = Array.tabulate(40)(j => 5 + 65536 * j)
+    for (nGroups <- Seq(Int.MaxValue - 1000, Int.MaxValue); kind <- allKinds)
+      withClue(s"${kind.name}, nGroups=$nGroups: ") {
+        val (k, v) = limited(countByKey(kind, keys, nGroups, 2))
+        assert(k.sorted.sameElements(keys) && v.forall(_ == 1.0))
+      }
+  }
+
+  test("table capacity at 2^28, 2^29, 2^30 and Int.MaxValue groups and d=0..2: that of the exact per-partition group count") {
+    for (nGroups <- Seq(1 << 28, 1 << 29, 1 << 30, Int.MaxValue); d <- 0 to 2) {
+      val perPart = (BigInt(nGroups) + (1 << (8 * d)) - 1) / (1 << (8 * d))
+      withClue(s"nGroups=$nGroups, d=$d: ") {
+        if (perPart > HashAgg.MaxCapacity / 2)
+          intercept[IllegalArgumentException](PartitionAndAggregate.capacity(nGroups, d))
+        else
+          assert(PartitionAndAggregate.capacity(nGroups, d) == HashAgg.capacityFor(perPart.toInt))
+      }
+    }
   }
 
   test("keys -1, Int.MinValue and Int.MaxValue are ordinary keys in every table") {

@@ -171,6 +171,35 @@ class HashAggSpec extends AnyFunSuite {
     }
   }
 
+  test("a warm run/runF at d=1 and d=2 on one worker allocates on the calling thread its result, plus 64 KiB") {
+    import AggKind._
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    assert(mx.isThreadAllocatedMemorySupported)
+    mx.setThreadAllocatedMemoryEnabled(true)
+    val t = Thread.currentThread.getId
+    // 16 rows per group: the radix pass's rows (12 B each) are 16 times
+    // the result's, and far more than 64 KiB.
+    val n = 1 << 16
+    val groups = 1 << 12
+    val keys = SynthData.localUniformKeys(n, groups, 31)
+    val vals = SynthData.localUniformValues(n, 32)
+    val valsF = SynthData.toFloats(vals)
+    for (d <- 1 to 2; kind <- Seq(PlainD, Dec64, ReproD(2), BufD(2, 16), PlainF, ReproF(2), BufF(2, 16))) {
+      def call(): (Array[Int], Array[Double]) = kind match {
+        case PlainF | ReproF(_) | BufF(_, _) => PartitionAndAggregate.runF(keys, valsF, groups, d, kind, 1)
+        case _                               => PartitionAndAggregate.run(keys, vals, groups, d, kind, 1)
+      }
+      call(); call()
+      val probe = { val a = mx.getThreadAllocatedBytes(t); mx.getThreadAllocatedBytes(t) - a }
+      val before = mx.getThreadAllocatedBytes(t)
+      val out = call()
+      val bytes = mx.getThreadAllocatedBytes(t) - before - probe
+      assert(out._1.length == groups)
+      assert(bytes <= 12L * groups + (64 << 10), s"${kind.name}, d=$d: $bytes B for $groups groups")
+    }
+  }
+
   test("empty input emits no rows") {
     for (kind <- Seq(AggKind.PlainD, AggKind.ReproD(2), AggKind.BufD(2, 8))) {
       val got = PartitionAndAggregate.run(new Array[Int](0), new Array[Double](0), 1, 0, kind)
@@ -239,6 +268,15 @@ class HashAggSpec extends AnyFunSuite {
     assert(bszFor(1 << 14, 256, 8) >= bszFor(1 << 14, 1, 8))
     val sizes = Seq(1 << 6, 1 << 10, 1 << 14, 1 << 18).map(g => bszFor(g, 1, 8))
     assert(sizes == sizes.sorted.reverse)
+  }
+
+  test("Eq.4 at 2^28, 2^29, 2^30 and Int.MaxValue groups: the exact model, no Int overflow") {
+    import PartitionAndAggregate.{bszFor, BszMax, CacheBytes}
+    for (nGroups <- Seq(1 << 28, 1 << 29, 1 << 30, Int.MaxValue); fanout <- Seq(1, 256, 65536); bytes <- Seq(4, 8)) {
+      val perPart = (BigInt(nGroups) + fanout - 1) / fanout
+      val expected = (BigInt(CacheBytes) / (perPart * bytes)).min(BszMax).max(8).toInt
+      assert(bszFor(nGroups, fanout, bytes) == expected, s"nGroups=$nGroups, fanout=$fanout, bytes=$bytes")
+    }
   }
 
   test("depth model matches the offline-tuned thresholds") {
