@@ -37,9 +37,10 @@ object AggKind {
   * A call's tables and, at `d >= 1`, the radix pass's output rows and
   * partition bounds belong to the calling thread: each is kept at the last
   * shape asked for and reused by the next call of that shape. Per value
-  * type that is up to `min(d, 2)` pairs of `n` rows (12 B a row for
-  * double, 8 B for float), plus 8 B per partition. A warm call allocates
-  * only its result, 12 B per group.
+  * type that is two pairs of `n` rows, which the radix sub-passes
+  * alternate between (24 B a row for double, 16 B for float), plus 8 B
+  * per partition. A warm call allocates only its result, 12 B per group,
+  * which the workers fill in parallel.
   *
   * The paper reports "CPU time per element = T*P/n", which normalizes the
   * thread count away; its runners here (`TableIII`, `Fig4`, `Fig9`)
@@ -86,8 +87,9 @@ object PartitionAndAggregate {
 
   /** Run GROUPBY-SUM over double-typed values. Returns (group key, sum)
     * pairs ordered by partition then table slot. Throws
-    * `IllegalArgumentException` if the input holds more than `nGroups`
-    * distinct keys, or more than a partition's table can hold.
+    * `IllegalArgumentException` if `keys` and `values` differ in length,
+    * or if the input holds more than `nGroups` distinct keys, or more than
+    * a partition's table can hold.
     */
   def run(keys: Array[Int], values: Array[Double], nGroups: Int, d: Int,
           kind: AggKind): (Array[Int], Array[Double]) =
@@ -101,6 +103,7 @@ object PartitionAndAggregate {
   /** [[run]] on up to `workers` threads, the caller's included. */
   private[repro] def run(keys: Array[Int], values: Array[Double], nGroups: Int, d: Int,
                          kind: AggKind, workers: Int): (Array[Int], Array[Double]) = {
+    RadixPartition.requireSameLength(keys.length, values.length)
     val cap = capacity(nGroups, d)
     val table: () => AggTable[Array[Double]] = kind match {
       case PlainD       => () => new PlainDTable(cap)
@@ -116,6 +119,7 @@ object PartitionAndAggregate {
   /** [[runF]] on up to `workers` threads, the caller's included. */
   private[repro] def runF(keys: Array[Int], values: Array[Float], nGroups: Int, d: Int,
                           kind: AggKind, workers: Int): (Array[Int], Array[Double]) = {
+    RadixPartition.requireSameLength(keys.length, values.length)
     val cap = capacity(nGroups, d)
     val table: () => AggTable[Array[Float]] = kind match {
       case PlainF       => () => new PlainFTable(cap)
@@ -149,15 +153,16 @@ object PartitionAndAggregate {
 
   /** The calling thread's radix-pass arrays for one value type `A`, and how
     * results of that type are staged in their partition's rows and copied
-    * out. Pair 0 takes the output of every call with `d >= 1`, pair 1 the
-    * ping-pong of `d >= 2`; each, like the partition bounds, has the size
-    * of the last call that used it.
+    * out. The two pairs that the radix sub-passes alternate between, like
+    * the partition bounds, have the size of the last call with `d >= 1`.
     */
   private sealed abstract class Rows[A] {
     private val pairs = new Array[(Array[Int], A)](2)
     private var offsets = new Array[Int](0)
-    /** The groups emitted per non-empty partition of the last call. */
-    var sizes = new Array[Int](0)
+    /** Per non-empty partition of the last call, the groups it emitted,
+      * then where its results start in the output.
+      */
+    var at = new Array[Int](0)
 
     protected def alloc(n: Int): A
     protected def levels(keys: Array[Int], values: A, d: Int, workers: Int,
@@ -170,9 +175,8 @@ object PartitionAndAggregate {
       */
     def partition(keys: Array[Int], values: A, d: Int, workers: Int): Partitioned[A] = {
       val n = keys.length
-      val used = math.min(d, 2)
       var i = 0
-      while (i < used) {
+      while (i < 2) {
         if (pairs(i) == null || pairs(i)._1.length != n) {
           pairs(i) = null // a collection during the allocation may reclaim the old pair
           pairs(i) = (new Array[Int](n), alloc(n))
@@ -180,8 +184,8 @@ object PartitionAndAggregate {
         i += 1
       }
       val fanout = RadixPartition.fanout(d)
-      if (offsets.length != fanout + 1) { offsets = new Array[Int](fanout + 1); sizes = new Array[Int](fanout) }
-      levels(keys, values, d, workers, pairs.toSeq.take(used), offsets)
+      if (offsets.length != fanout + 1) { offsets = new Array[Int](fanout + 1); at = new Array[Int](fanout + 1) }
+      levels(keys, values, d, workers, pairs.toSeq, offsets)
     }
   }
   private final class Doubles extends Rows[Array[Double]] {
@@ -250,10 +254,11 @@ object PartitionAndAggregate {
     * and the workers take the non-empty partitions from one counter, each
     * into its table, reset between partitions. A worker emits partition
     * `i` in place, at its first row: its rows are dead once aggregated,
-    * and it has at least as many rows as groups. One pass then copies the
+    * and it has at least as many rows as groups. After a failure the
+    * other workers take no further partition. The workers then copy the
     * results out in partition order into exact-size arrays, the only ones
-    * a warm call allocates. After a failure the other workers take no
-    * further partition.
+    * a warm call allocates, each a contiguous range of partitions holding
+    * about an equal share of the groups.
     */
   private def aggregate[A](keys: Array[Int], values: A, d: Int, nGroups: Int, workers: Int,
                            tables: Tables[A], rows: Rows[A]): (Array[Int], Array[Double]) = {
@@ -290,31 +295,40 @@ object PartitionAndAggregate {
     }
     offsets(parts) = offsets(fanout)
     val nParts = parts
-    val sizes = rows.sizes
+    val at = rows.at
     val next = new AtomicInteger
-    Workers.run(math.max(1, math.min(workers, nParts)), () => next.set(nParts)) { w =>
+    val nWorkers = math.max(1, math.min(workers, nParts))
+    Workers.run(nWorkers, () => next.set(nParts)) { w =>
       var i = next.getAndIncrement()
       while (i < nParts) {
         val from = offsets(i)
         val table = tables.fresh(w)
         table.aggregate(part.keys, part.values, from, offsets(i + 1), 8 * d)
-        sizes(i) = rows.emit(table, part.keys, part.values, from) - from
+        at(i) = rows.emit(table, part.keys, part.values, from) - from
         i = next.getAndIncrement()
       }
     }
+    // Every non-empty partition emits a group, so `at` rises strictly.
     var total = 0L
     var i = 0
-    while (i < nParts) { total += sizes(i); i += 1 }
+    while (i < nParts) { val size = at(i); at(i) = total.toInt; total += size; i += 1 }
     if (total > nGroups) tooManyGroups(nGroups)
+    at(nParts) = total.toInt
     val outKeys = new Array[Int](total.toInt)
     val outVals = new Array[Double](total.toInt)
-    var pos = 0
-    i = 0
-    while (i < nParts) {
-      System.arraycopy(part.keys, offsets(i), outKeys, pos, sizes(i))
-      rows.copy(part.values, offsets(i), outVals, pos, sizes(i))
-      pos += sizes(i)
-      i += 1
+    /** The first partition whose results start at or after `pos`. */
+    def firstAt(pos: Long): Int = {
+      val j = java.util.Arrays.binarySearch(at, 0, nParts + 1, pos.toInt)
+      if (j >= 0) j else -j - 1
+    }
+    Workers.run(nWorkers) { w =>
+      var i = firstAt(total * w / nWorkers)
+      val end = firstAt(total * (w + 1) / nWorkers)
+      while (i < end) {
+        System.arraycopy(part.keys, offsets(i), outKeys, at(i), at(i + 1) - at(i))
+        rows.copy(part.values, offsets(i), outVals, at(i), at(i + 1) - at(i))
+        i += 1
+      }
     }
     (outKeys, outVals)
   }

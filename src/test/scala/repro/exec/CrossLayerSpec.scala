@@ -382,6 +382,26 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
     }
   }
 
+  test("keys and values of different lengths: run/runF and partition/partitionF at d=0..2 throw IllegalArgumentException naming both lengths") {
+    val keys = Array(1, 2, 3, 1)
+    for (nVals <- Seq(3, 5); d <- 0 to 2) {
+      val vals = Array.tabulate(nVals)(i => (i + 1).toDouble)
+      val valsF = vals.map(_.toFloat)
+      def refused(what: String)(call: => Any): Unit =
+        withClue(s"$what, ${keys.length} keys, $nVals values, d=$d: ") {
+          val e = intercept[IllegalArgumentException](call)
+          assert(e.getMessage.contains(s"${keys.length} keys but $nVals values"), e.getMessage)
+        }
+      for (kind <- allKinds)
+        refused(kind.name)(kind match {
+          case PlainF | ReproF(_) | BufF(_, _) => PartitionAndAggregate.runF(keys, valsF, 3, d, kind)
+          case _                               => PartitionAndAggregate.run(keys, vals, 3, d, kind)
+        })
+      refused("partition")(RadixPartition.partition(keys, vals, d))
+      refused("partitionF")(RadixPartition.partitionF(keys, valsF, d))
+    }
+  }
+
   test("keys -1, Int.MinValue and Int.MaxValue are ordinary keys in every table") {
     val keys = Array(-1, Int.MinValue, Int.MaxValue, 0, -1, Int.MaxValue, -1)
     val expected = Map(-1 -> 3.0, Int.MinValue -> 1.0, Int.MaxValue -> 2.0, 0 -> 1.0)

@@ -83,6 +83,77 @@ class RadixPartitionSpec extends AnyFunSuite {
     }
   }
 
+  /** Key sets that a wrong nibble order, or bounds taken from the wrong
+    * nibble or byte, would misplace, and one whose every nibble is the
+    * same in every row.
+    */
+  private def nibbleKeySets(d: Int): Seq[(String, Array[Int])] = {
+    val r = new Random(40 + d)
+    val fanout = 1 << (8 * d)
+    Seq(
+      "the full Int range" -> Array.fill(5000)(r.nextInt()),
+      "one bucket of the first byte" -> Array.fill(5000)(r.nextInt() << 8 | 0x5a),
+      "one bucket of the second byte" -> Array.fill(5000)(r.nextInt() & 0xffff00ff | 0xa500),
+      "a shared low nibble in every byte" -> Array.fill(5000)(r.nextInt() & 0xf0f0f0f0 | 0x06060606),
+      "one row per bucket" -> r.shuffle((0 until fanout).toVector).map(p => r.nextInt() << (8 * d) | p).toArray,
+      "one key" -> Array.fill(5000)(-0x3c5a7b8e))
+  }
+
+  test("d=1/d=2 on nibble-sensitive keys: partition and partitionF give the stable sort's arrays, never the caller's, on 1 to 5 workers") {
+    for (d <- 1 to 2; (name, keys) <- nibbleKeySets(d)) {
+      val n = keys.length
+      val vals = SynthData.localMixedValues(n, 50 + d)
+      val valsF = SynthData.toFloats(vals)
+      val mask = (1 << (8 * d)) - 1
+      val order = keys.indices.sortBy(keys(_) & mask)
+      val offsets = new Array[Int](mask + 2)
+      keys.foreach(k => offsets((k & mask) + 1) += 1)
+      for (p <- 1 to mask + 1) offsets(p) += offsets(p - 1)
+      val runs = (1 to 5).map(w => (s"workers=$w", RadixPartition.partition(keys, vals, d, w),
+                                    RadixPartition.partitionF(keys, valsF, d, w))) :+
+        (("public", RadixPartition.partition(keys, vals, d), RadixPartition.partitionF(keys, valsF, d)))
+      for ((how, pd, pf) <- runs) {
+        val clue = s"d=$d, $name, $how"
+        assert((pd.keys ne keys) && (pd.values ne vals) && (pf.keys ne keys) && (pf.values ne valsF), clue)
+        assert(pd.keys.sameElements(order.map(keys)) && pf.keys.sameElements(pd.keys), clue)
+        assert(pd.values.map(bits).sameElements(order.map(i => bits(vals(i)))), clue)
+        assert(pf.values.map(bitsF).sameElements(order.map(i => bitsF(valsF(i)))), clue)
+        assert(pd.offsets.sameElements(offsets) && pf.offsets.sameElements(offsets), clue)
+      }
+    }
+  }
+
+  test("d=1/d=2 on nibble-sensitive keys: run/runF on 1 to 5 workers give the keys, bits and order of 1 worker on a new thread, and leave the caller's rows unchanged") {
+    import AggKind._
+    for (d <- 1 to 2; (name, keys) <- nibbleKeySets(d)) {
+      val vals = SynthData.localMixedValues(keys.length, 60 + d)
+      val valsF = SynthData.toFloats(vals)
+      // Tables with room for the keys of the most crowded partition.
+      val mask = (1 << (8 * d)) - 1
+      val crowded = keys.distinct.groupBy(_ & mask).values.map(_.length).max
+      val nGroups = math.min(crowded.toLong << (8 * d), Int.MaxValue.toLong).toInt
+      val (keys0, vals0, valsF0) = (keys.clone(), vals.map(bits), valsF.map(bitsF))
+      for (kind <- Seq(PlainD, ReproD(2), BufD(2, 16), PlainF, BufF(2, 16))) {
+        def call(workers: Int): (Array[Int], Array[Double]) = kind match {
+          case PlainF | BufF(_, _) => PartitionAndAggregate.runF(keys, valsF, nGroups, d, kind, workers)
+          case _                   => PartitionAndAggregate.run(keys, vals, nGroups, d, kind, workers)
+        }
+        var fresh: (Array[Int], Array[Double]) = null
+        val t = new Thread(() => fresh = call(1))
+        t.start()
+        t.join()
+        val clue = s"d=$d, $name, ${kind.name}"
+        assert(fresh != null && fresh._1.length == keys.distinct.length, clue)
+        for (workers <- 1 to 5) {
+          val (k, v) = call(workers)
+          assert(k.sameElements(fresh._1) && v.map(bits).sameElements(fresh._2.map(bits)), s"$clue, workers=$workers")
+          assert(keys.sameElements(keys0) && vals.map(bits).sameElements(vals0) &&
+                 valsF.map(bitsF).sameElements(valsF0), s"$clue, workers=$workers: the caller's rows changed")
+        }
+      }
+    }
+  }
+
   test("float variant partitions identically to the double variant") {
     val n = 5000
     val keys = SynthData.localUniformKeys(n, 3000, 7)
