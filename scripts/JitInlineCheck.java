@@ -3,6 +3,7 @@ import repro.core.BufferedReproDouble;
 import repro.core.ReproDouble;
 import repro.exec.AggKind;
 import repro.exec.BufDTable;
+import repro.exec.BufFTable;
 import repro.exec.PartitionAndAggregate;
 import repro.exec.ReproDTable;
 import repro.exec.ReproFTable;
@@ -16,14 +17,16 @@ import repro.exec.ReproFTable;
   * hot in the same JVM, as the benchmark's buffered modes do; the kernel
   * and the scalar add's cold path share RsumD.raise. A second BufDTable
   * (bsz 32) takes about 4 rows per group, as a paa-wide partition does, so
-  * its emit flushes short chunks through the kernel's tail. Two
-  * BufferedReproDouble add loops, at bsz 0 and bsz 256, drive the state of
-  * Spark's rsum and rsum_buffered aggregates. One PartitionAndAggregate.run
-  * of BufD at d = 0 per round runs the BufDTable loop on every worker,
-  * pool threads included, over chunks of the input, and merges the
-  * workers' tables. One run of BufD (bsz 32) at d = 1 per round, over the
-  * keys of about 4 rows per group, partitions into the rows the calling
-  * thread keeps and runs the short-flush BufDTable loop on every worker;
+  * its emit finalizes each group whose buffer never filled through
+  * RsumBatchD.sumOf; a BufFTable (bsz 64) on the same keys does the same
+  * for floats. Two BufferedReproDouble add loops, at bsz 0 and bsz 256,
+  * drive the state of Spark's rsum and rsum_buffered aggregates. One
+  * PartitionAndAggregate.run of BufD at d = 0 per round runs the BufDTable
+  * loop on every worker, pool threads included, over chunks of the input,
+  * and merges the workers' tables. One run of BufD (bsz 32) at d = 1 per
+  * round, over the keys of about 4 rows per group, partitions into the
+  * rows the calling thread keeps and runs the short-buffer BufDTable loop
+  * on every worker;
   * the kept rows must fit the check's heap beside everything else. See
   * jit-inline-check.sh.
   */
@@ -41,6 +44,8 @@ public class JitInlineCheck {
     int wideGroups = n / 4;
     int[] wideKeys = SynthData.localUniformKeys(n, wideGroups, 4);
     BufDTable shortTable = new BufDTable(2 * wideGroups, levels, 32);
+    float[] valsF = SynthData.toFloats(vals);
+    BufFTable shortFloatTable = new BufFTable(2 * wideGroups, levels, 64);
     int[] wideOutKeys = new int[wideGroups];
     double[] wideOutVals = new double[wideGroups];
     AggKind bufKind = new AggKind.BufD(levels, 128);
@@ -61,6 +66,9 @@ public class JitInlineCheck {
       shortTable.reset();
       shortTable.aggregate(wideKeys, vals, 0, n, 0);
       sink += wideOutVals[shortTable.emit(wideOutKeys, wideOutVals, 0) - 1];
+      shortFloatTable.reset();
+      shortFloatTable.aggregate(wideKeys, valsF, 0, n, 0);
+      sink += wideOutVals[shortFloatTable.emit(wideOutKeys, wideOutVals, 0) - 1];
       floatTable.reset();
       floatTable.aggregate(keys, mixedF, 0, n, 0);
       sink += outVals[floatTable.emit(outKeys, outVals, 0) - 1];

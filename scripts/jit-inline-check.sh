@@ -10,13 +10,17 @@
 # Builds the main sources with perfbench/build.py, runs JitInlineCheck.java
 # (ReproDTable loops on U[1,2) and on mixed-magnitude values, a ReproFTable
 # loop, a ReproDouble.add loop, BufferedReproDouble.add loops at bsz 0 and
-# 256 (the state of Spark's rsum and rsum_buffered) and two BufDTable
+# 256 (the state of Spark's rsum and rsum_buffered), two BufDTable
 # loops, full flushes and short ones at about 4 rows per group, that keep
-# the batched kernel compiled beside them, and PartitionAndAggregate runs of
-# BufD at d = 0 and d = 1 that run the BufDTable loops on every worker) with
-# -XX:+PrintInlining on the benchmark's heap and collector, prints every
+# the batched kernel compiled beside them, a BufFTable loop of short ones,
+# and PartitionAndAggregate runs of BufD at d = 0 and d = 1 that run the
+# BufDTable loops on every worker) with -XX:+PrintInlining and
+# -XX:+PrintCompilation on the benchmark's heap and collector, prints every
 # inlining decision about the four methods, and exits 1 if any of them reads
-# "already compiled into a big method" or "hot method too big".
+# "already compiled into a big method" or "hot method too big". It then
+# prints, for information, the compile and inlining lines of the kernel's
+# finalization of a never-flushed buffer (RsumBatchD.sumOf, sumOn,
+# spreadAll and total).
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -28,12 +32,22 @@ mkdir -p "$out"
 javac -nowarn -cp "$classes:$jars/*" -d "$out" scripts/JitInlineCheck.java
 log="$out/inlining.log"
 java -Xms1g -Xmx1g -XX:+UseParallelGC -XX:-UsePerfData \
-  -XX:+UnlockDiagnosticVMOptions -XX:+PrintInlining \
+  -XX:+UnlockDiagnosticVMOptions -XX:+PrintInlining -XX:+PrintCompilation \
   -cp "$out:$classes:$jars/*" JitInlineCheck > "$log"
 
-pattern='(repro\.core\.ReproSlots[DF]::add|repro\.core\.RsumD\$::add|repro\.exec\.AggTable::slotOf) \('
+# Inlining lines read "@ <bci> <method> (<n> bytes) <decision>".
+pattern='@ [0-9]+ +(repro\.core\.ReproSlots[DF]::add|repro\.core\.RsumD\$::add|repro\.exec\.AggTable::slotOf) \('
 grep -E "$pattern" "$log" | sed -E 's/^ +//' | sort | uniq -c
+failed=0
 if grep -E "$pattern" "$log" | grep -qE 'already compiled into a big method|hot method too big'; then
+  failed=1
+fi
+echo "RsumBatchD.sumOf: compiled as"
+grep -E '^ *[0-9]+ +[0-9]+ .*repro\.core\.RsumBatchD::(sumOf|sumOn|spreadAll|total) ' "$log" \
+  | sed -E 's/^ *[0-9]+ +[0-9]+ +//' | sort | uniq -c || true
+echo "RsumBatchD.sumOf: inlined as"
+grep -E '@ [0-9]+ +repro\.core\.RsumBatchD::(sumOf|sumOn|spreadAll|total) \(' "$log" | sed -E 's/^ +//' | sort | uniq -c || true
+if [ "$failed" = 1 ]; then
   echo "jit-inline-check: FAIL (the scalar add path or the probe is not inlined; see $log)"
   exit 1
 fi

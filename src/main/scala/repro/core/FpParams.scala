@@ -21,7 +21,10 @@ package repro.core
   * bound with its `NB + V - 1` values. On float's grid a lane held in a
   * double has 29 spare bits, so the same tile is safe by far. Every
   * summation-buffer flush, however short, runs through the batched kernel
-  * (Fig. 6 crossover, EXPERIMENTS.md).
+  * (Fig. 6 crossover, EXPERIMENTS.md). A buffer of at most
+  * [[RsumBatchD.SpreadMax]] values finalized without ever being flushed is
+  * not flushed at emit: [[RsumBatchD.sumOf]] sums it to the same bits in
+  * the kernel's scratch, leaving the table's state empty.
   *
   * Every parameter is a `final val` of a constant expression without a type
   * annotation, so scalac inlines it as a constant and C2 folds it (lane

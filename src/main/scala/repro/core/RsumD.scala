@@ -238,6 +238,12 @@ object RsumD {
   * leaves its remainders in `rbuf` for the next. A call of any length, a
   * lone value included, costs one scan, at most one raise and one fold per
   * level and block, so every summation-buffer flush takes this path.
+  * [[RsumBatchD.sumOf]] gives the finalized sum of a short such call on
+  * an empty state without writing a state: the same scan, each value
+  * extracted through every level in turn, each level's parts summed in
+  * one double. A summation buffer finalized before it was ever flushed,
+  * as most are at `paa-wide`'s ~4 rows per group, takes that path at
+  * emit.
   *
   * The resulting state is bit-identical to feeding the same values through
   * [[RsumD.add]] one by one (both capture the identical exact content and
@@ -249,6 +255,10 @@ final class RsumBatchD(val levels: Int) {
 
   // Remainders of one block, the input of the next level.
   private val rbuf = new Array[Double](V * NB)
+  // Per level, the extractor of [[sumOf]]'s frame and the total of the
+  // parts it extracts.
+  private val extractors = new Array[Double](levels)
+  private val parts = new Array[Double](levels)
 
   /** Add `values(from until from+len)` to the normalized state in `s`/`c`
     * at `off`, on double's grid; returns the new `e1`. If any of the values
@@ -265,6 +275,22 @@ final class RsumBatchD(val levels: Int) {
   def run(values: Array[Float], from: Int, len: Int,
           s: Array[Double], c: Array[Long], off: Int, e1In: Int): Int =
     runOn(null, values, from, len, s, c, off, e1In, FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN, RsumBatchD.HugeBitsF)
+
+  /** The finalized sum ([[RsumD.eval]]) of the empty state after
+    * `values(from until from+len)` are added, on double's grid: the bits of
+    * [[run]] on an empty state, then `eval`, with no state written. Returns
+    * NaN, which no such sum is, if [[run]] would refuse the values or if
+    * they are more than [[RsumBatchD.SpreadMax]]; the caller then takes
+    * [[run]] and `eval`.
+    */
+  def sumOf(values: Array[Double], from: Int, len: Int): Double =
+    sumOn(values, null, from, len, FpD.M, FpD.W, FpD.E1MIN, FpD.ELMIN, RsumBatchD.HugeBits)
+
+  /** [[sumOf]] of float values, on float's grid: `eval`'s binary32 RSUM
+    * result, widened. It overflows to ±Inf as that does; it is never NaN.
+    */
+  def sumOf(values: Array[Float], from: Int, len: Int): Double =
+    sumOn(null, values, from, len, FpF.M, FpF.W, FpF.E1MIN, FpF.ELMIN, RsumBatchD.HugeBitsF)
 
   /** The range scan (Alg. 3 line 4) of `values(from until from+len)`. The
     * bits of a non-negative double order like its value, with +Inf above
@@ -326,6 +352,28 @@ final class RsumBatchD(val levels: Int) {
     if (m == body) dev else dev + tail(src, from, body, m - body, a)
   }
 
+  /** Adds to `parts(l)`, for every level `l`, the grid part of `b` that
+    * level extracts against `extractors(l)`, its remainder going on to the
+    * next level: one value of [[sumOn]].
+    */
+  @inline private def spread(b: Double): Unit = {
+    var r = b
+    var l = 0
+    while (l < levels) { val a = extractors(l); val q = (r + a) - a; r -= q; parts(l) += q; l += 1 }
+  }
+
+  /** [[spread]] of each of `values(from until from+len)`, in order. */
+  private def spreadAll(values: Array[Double], from: Int, len: Int): Unit = {
+    var t = from
+    while (t < from + len) { spread(values(t)); t += 1 }
+  }
+
+  /** [[spreadAll]] of floats, widened. */
+  private def spreadAll(values: Array[Float], from: Int, len: Int): Unit = {
+    var t = from
+    while (t < from + len) { spread(values(t)); t += 1 }
+  }
+
   /** The extraction of the `n` (1 to `V - 1`) values of a block from `t`
     * on, without a loop; returns the sum of their grid parts, which is
     * exact. A method of its own, so that [[extract]] stays small enough for
@@ -358,6 +406,55 @@ final class RsumBatchD(val levels: Int) {
     if (e1 != e1In) raise(s, c, off, levels, e1In, e1, W, ELMIN)
     deposit(vd, vf, from, from + len, s, c, off, e1, M, W, ELMIN)
     e1
+  }
+
+  /** [[sumOf]] on the grid `(M, W, E1MIN, ELMIN)`, over `vd` or, when that
+    * is null, `vf`. It takes the frame as [[runOn]] does and extracts each
+    * value through every level ([[spread]]) against the extractors
+    * [[deposit]] uses on an empty state raised to that frame. The parts of
+    * a level are multiples of its grid step of at most `2^(W-1)` steps
+    * each, so every partial sum of at most [[RsumBatchD.SpreadMax]] of
+    * them is exact in a double: the level's exact total `T`, which is also
+    * the deviation [[deposit]]'s lanes total. The levels then fold from
+    * the last up as in `eval` ([[total]]).
+    */
+  private def sumOn(vd: Array[Double], vf: Array[Float], from: Int, len: Int,
+                    M: Int, W: Int, E1MIN: Int, ELMIN: Int, hugeBits: Long): Double = {
+    if (len > RsumBatchD.SpreadMax) return Double.NaN
+    val mx = if (vd != null) maxBits(vd, from, len) else maxBits(vf, from, len)
+    if (mx >= hugeBits) return Double.NaN
+    if (mx == 0L) return 0.0
+    val e1 = requiredE1(java.lang.Double.longBitsToDouble(mx), M, W, E1MIN)
+    val x = pow2(FpD.M - M)
+    var l = 0
+    while (l < levels) { extractors(l) = nominal(e1, l, W, ELMIN) * x; parts(l) = 0.0; l += 1 }
+    if (vd != null) spreadAll(vd, from, len) else spreadAll(vf, from, len)
+    total(M)
+  }
+
+  /** The finalized sum of the level totals in `parts`: [[RsumD.eval]]'s
+    * fold, from the last level up, of the levels an empty state holds after
+    * [[deposit]] of them. [[deposit]]'s floor leaves a level of total `T`
+    * at the deviation `T - k * ufp / 4` with `k = floor(4 T / ufp)`
+    * carries, where `eval`'s `propagate` leaves it. Its term in `eval` is
+    * that deviation plus the carries' term `k * ufp / 4`, both exact in a
+    * double, and their exact sum is `T`: on double's grid the term is
+    * `T`. On float's grid at most [[RsumBatchD.SpreadMax]] values, each
+    * of at most `2^(W-1)` grid steps and below 2^120, keep `T` within
+    * `2^21` steps, a float, and below 2^124, so the carries' term is a
+    * float too: the term is `T` again. Taking `eval`'s floor and step per
+    * level instead gave the same bits at 0.94x `paa-wide`'s `repro_buf`
+    * rate and 0.88x its `repro_buf_f32` rate (8 pairs on a 4-vCPU VM).
+    */
+  private def total(M: Int): Double = {
+    var q = 0.0
+    var l = levels - 1
+    while (l >= 0) {
+      val t = parts(l)
+      q = if (M != FpF.M) q + t else (q + t).toFloat
+      l -= 1
+    }
+    q
   }
 
   /** Alg. 3 lines 5-7 on `from until end` (not empty) at the frame `e1`,
@@ -397,6 +494,15 @@ object RsumBatchD {
     * batch per value.
     */
   final val OutOfRange = Int.MaxValue
+
+  /** The longest batch [[RsumBatchD.sumOf]] takes; a longer one it
+    * refuses, and the caller flushes it through the kernel's lanes and
+    * evaluates the state. Value by value, each level's total is a chain of
+    * adds through memory, so the cost per value does not fall with the
+    * length as the lanes' does. Most buffers at `paa-wide`'s emits hold
+    * about 4 values.
+    */
+  final val SpreadMax = 16
 
   /** Bits of [[ReproDouble.HugeThreshold]] and of [[ReproFloat.HugeThreshold]]
     * widened: the smallest `|b|` bits out of range.

@@ -51,8 +51,9 @@ object HashAgg {
   * `A` is the value-array type of `aggregate`. A subclass starts the
   * accumulator of a newly claimed slot in `init`, adds another table's slot
   * to it in `mergeSlot` and finalizes it in `result`. The table records the
-  * order in which its slots were claimed: `reset` frees just those, and
-  * `merge` reads the other table's keys in that order.
+  * order in which its slots were claimed: `reset` frees just those, `merge`
+  * reads the other table's keys in that order, and `emit` marks them in a
+  * bitmap to visit them in slot order, so none of them costs O(`cap`).
   */
 abstract class AggTable[A](val cap: Int) {
   require(cap > 0 && (cap & (cap - 1)) == 0, s"capacity must be a power of two, got $cap")
@@ -67,6 +68,8 @@ abstract class AggTable[A](val cap: Int) {
   // next to this one; as a field it shared cache lines with the fields
   // they read on every row.
   private val count = new Array[Int](2 * AggTable.Used)
+  // One bit per slot, set only inside `emit`: the claimed slots.
+  private val marks = new Array[Long]((cap + 63) >>> 6)
   java.util.Arrays.fill(slotKey, AggTable.Free)
 
   def aggregate(keys: Array[Int], values: A, from: Int, to: Int, shift: Int): Unit
@@ -81,13 +84,20 @@ abstract class AggTable[A](val cap: Int) {
   protected def mergeSlot(h: Int, o: AggTable[A], j: Int): Unit =
     throw new UnsupportedOperationException(s"${getClass.getSimpleName} does not merge")
 
-  /** Finalized aggregate of slot `h`, once the table has no pending input. */
+  /** Finalized aggregate of slot `h`, its pending input included. It may
+    * flush that input, but it must leave the table's later results as
+    * they were.
+    */
   protected def result(h: Int): Double
+
+  /** Called by `emit` on the emitting thread before its first `result`. */
+  protected def startEmit(): Unit = ()
 
   /** Number of keys in the table. */
   final def size: Int = count(AggTable.Used)
 
-  protected final def claimed(h: Int): Boolean = slotKey(h) != AggTable.Free
+  /** The slot claimed `i`-th, for `i` in `0 until size`. */
+  protected final def claimedAt(i: Int): Int = order(i)
 
   final def reset(): Unit = {
     var i = 0
@@ -138,31 +148,49 @@ abstract class AggTable[A](val cap: Int) {
   }
 
   /** Adds the input a table still holds back into its accumulators, on the
-    * calling thread; `emit` starts with it.
+    * calling thread, as [[merge]] needs of the other table. `emit` does
+    * not need it: `result` finalizes a slot's pending input.
     */
   def flush(): Unit = ()
 
-  final def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int = {
-    flush()
-    var p = outPos
-    var h = 0
-    while (h < cap) {
-      if (slotKey(h) != AggTable.Free) { outKeys(p) = slotKey(h).toInt; outVals(p) = result(h); p += 1 }
-      h += 1
-    }
-    p
-  }
+  final def emit(outKeys: Array[Int], outVals: Array[Double], outPos: Int): Int =
+    emitInto(outKeys, outVals, null, outPos)
 
   /** [[emit]] into a float array. Only for the float tables, whose results
     * are floats widened, so narrowing them back loses nothing.
     */
-  final def emitFloats(outKeys: Array[Int], outVals: Array[Float], outPos: Int): Int = {
-    flush()
+  final def emitFloats(outKeys: Array[Int], outVals: Array[Float], outPos: Int): Int =
+    emitInto(outKeys, null, outVals, outPos)
+
+  /** Writes the key and result of every claimed slot from `outPos` on, in
+    * slot order, into `outD` or, when that is null, `outF`; returns the new
+    * cursor. The claim order sets the slots' marks, and the scan clears
+    * each word as it reads it: O(size + cap/64). The output's room is
+    * checked before any mark is set, so that no failed emit can leave a
+    * mark for the next.
+    */
+  private def emitInto(outKeys: Array[Int], outD: Array[Double], outF: Array[Float], outPos: Int): Int = {
+    val room = Math.min(outKeys.length, if (outD != null) outD.length else outF.length)
+    if (outPos < 0 || size > room - outPos)
+      throw new IndexOutOfBoundsException(
+        s"emit of $size groups from position $outPos into arrays of ${outKeys.length} keys and " +
+          s"${if (outD != null) outD.length else outF.length} values")
+    startEmit()
+    var i = 0
+    while (i < size) { val h = order(i); marks(h >>> 6) |= 1L << h; i += 1 }
     var p = outPos
-    var h = 0
-    while (h < cap) {
-      if (slotKey(h) != AggTable.Free) { outKeys(p) = slotKey(h).toInt; outVals(p) = result(h).toFloat; p += 1 }
-      h += 1
+    var w = 0
+    while (w < marks.length) {
+      var m = marks(w)
+      marks(w) = 0L
+      while (m != 0L) {
+        val h = w << 6 | java.lang.Long.numberOfTrailingZeros(m)
+        outKeys(p) = slotKey(h).toInt
+        if (outD != null) outD(p) = result(h) else outF(p) = result(h).toFloat
+        p += 1
+        m &= m - 1
+      }
+      w += 1
     }
     p
   }
@@ -171,6 +199,18 @@ abstract class AggTable[A](val cap: Int) {
 object AggTable {
   final val Free: Long = Long.MinValue
   private final val Used = 16
+
+  /** `cap`, once `cap` slots of `bsz` buffered values each are known to fit
+    * one array: a buffered table checks this, in `Long`, before it
+    * allocates anything.
+    */
+  private[exec] def bufferedCap(cap: Int, bsz: Int): Int = {
+    if (bsz < 1) throw new IllegalArgumentException(s"bsz must be >= 1, got $bsz")
+    if (cap.toLong * bsz > Int.MaxValue)
+      throw new IllegalArgumentException(
+        s"cap = $cap slots of bsz = $bsz values each are ${cap.toLong * bsz} buffered values, more than one array holds")
+    cap
+  }
 }
 
 /** Built-in double accumulator — the non-reproducible baseline. A slot
@@ -255,27 +295,49 @@ final class ReproFTable(cap: Int, val levels: Int) extends AggTable[Array[Float]
 /** `repro<double,L>` WITH summation buffers (§V-A, Fig. 5): each slot is
   * the repro state + a `bsz`-value buffer + its fill offset; values are
   * appended per row and flushed through the vectorized kernel when full,
-  * and by `flush`. The table holds no kernel scratch: `aggregate` and
-  * `flush` each take the running thread's kernel
-  * ([[RsumBatchD.forThread]]) once.
+  * and by `flush`. `emit` flushes a slot's pending values only if its state
+  * holds something already: a slot whose buffer never filled, as at
+  * `paa-wide`'s ~4 rows per group, has an empty state, and
+  * [[RsumBatchD.sumOf]] gives its result, the bits of a flush and `value`,
+  * without writing the state, if it holds at most
+  * [[RsumBatchD.SpreadMax]] values. Its values stay pending, so a second `emit`
+  * gives the same result, and later rows join them as before. The table
+  * holds no kernel scratch: `aggregate`, `flush` and `emit` each take the
+  * running thread's kernel ([[RsumBatchD.forThread]]) once.
   */
-final class BufDTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[Array[Double]](cap) {
-  require(bsz >= 1, s"bsz must be >= 1, got $bsz")
+final class BufDTable(cap: Int, val levels: Int, val bsz: Int)
+    extends AggTable[Array[Double]](AggTable.bufferedCap(cap, bsz)) {
   private val states = new ReproSlotsD(cap, levels)
   private val buf = new Array[Double](cap * bsz)
   private val fill = new Array[Int](cap)
+  // The emitting thread's kernel, taken by `startEmit`.
+  private var kernel: RsumBatchD = _
 
   protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
   override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
     states.merge(h, o.asInstanceOf[BufDTable].states, j)
-  protected def result(h: Int): Double = states.value(h)
+  override protected def startEmit(): Unit = kernel = RsumBatchD.forThread(levels)
+
+  protected def result(h: Int): Double = {
+    val n = fill(h)
+    if (n > 0) {
+      if (states.isEmpty(h)) {
+        val v = kernel.sumOf(buf, h * bsz, n)
+        if (!java.lang.Double.isNaN(v)) return v
+      }
+      states.addBatch(h, buf, h * bsz, n, kernel)
+      fill(h) = 0
+    }
+    states.value(h)
+  }
 
   override def flush(): Unit = {
     val k = RsumBatchD.forThread(levels)
-    var h = 0
-    while (h < cap) {
-      if (claimed(h) && fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
-      h += 1
+    var i = 0
+    while (i < size) {
+      val h = claimedAt(i)
+      if (fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
+      i += 1
     }
   }
 
@@ -297,23 +359,39 @@ final class BufDTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[
 }
 
 /** `repro<float,L>` WITH summation buffers. */
-final class BufFTable(cap: Int, val levels: Int, val bsz: Int) extends AggTable[Array[Float]](cap) {
-  require(bsz >= 1, s"bsz must be >= 1, got $bsz")
+final class BufFTable(cap: Int, val levels: Int, val bsz: Int)
+    extends AggTable[Array[Float]](AggTable.bufferedCap(cap, bsz)) {
   private val states = new ReproSlotsF(cap, levels)
   private val buf = new Array[Float](cap * bsz)
   private val fill = new Array[Int](cap)
+  // The emitting thread's kernel, taken by `startEmit`.
+  private var kernel: RsumBatchD = _
 
   protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
   override protected def mergeSlot(h: Int, o: AggTable[Array[Float]], j: Int): Unit =
     states.merge(h, o.asInstanceOf[BufFTable].states, j)
-  protected def result(h: Int): Double = states.value(h).toDouble
+  override protected def startEmit(): Unit = kernel = RsumBatchD.forThread(levels)
+
+  protected def result(h: Int): Double = {
+    val n = fill(h)
+    if (n > 0) {
+      if (states.isEmpty(h)) {
+        val v = kernel.sumOf(buf, h * bsz, n)
+        if (!java.lang.Double.isNaN(v)) return v
+      }
+      states.addBatch(h, buf, h * bsz, n, kernel)
+      fill(h) = 0
+    }
+    states.value(h).toDouble
+  }
 
   override def flush(): Unit = {
     val k = RsumBatchD.forThread(levels)
-    var h = 0
-    while (h < cap) {
-      if (claimed(h) && fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
-      h += 1
+    var i = 0
+    while (i < size) {
+      val h = claimedAt(i)
+      if (fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
+      i += 1
     }
   }
 

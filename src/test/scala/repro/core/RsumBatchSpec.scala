@@ -217,6 +217,96 @@ class RsumBatchSpec extends AnyFunSuite {
       }
     }
   }
+
+  // RsumBatchD.sumOf: the sum of an empty state after a batch, with no
+  // state written, must have the bits of addBatch into an empty slot, then
+  // value. The values sit at an offset, after a value sumOf must not read.
+  private val sumOfLengths = (1 to 11) :+ RsumBatchD.SpreadMax
+
+  /** Per input, `n` doubles: each of them as float is below float's huge
+    * threshold too.
+    */
+  private def sumOfInputs(n: Int, seed: Long): Seq[(String, Array[Double], Array[Float])] = {
+    val r = new Random(seed)
+    def sign = if (r.nextBoolean()) 1.0 else -1.0
+    def both(name: String, d: Array[Double]): (String, Array[Double], Array[Float]) = (name, d, d.map(_.toFloat))
+    val fullD = FullDomainFinite.doubles(n, seed)
+    val fullF = FullDomainFinite.floats(n, seed)
+    Seq(
+      both("U[1,2)", uniformVals(n, seed)),
+      ("full domain, finite, below the huge threshold", fullD, fullF),
+      ("subnormals", Array.fill(n)((r.nextInt(2001) - 1000) * Double.MinPositiveValue),
+        Array.fill(n)((r.nextInt(2001) - 1000) * Float.MinPositiveValue)),
+      both("+0/-0", Array.fill(n)(sign * 0.0)),
+      ("just below the huge threshold, one sign",
+        Array.fill(n)(Math.nextDown(ReproDouble.HugeThreshold) * (0.5 + r.nextDouble() / 2)),
+        Array.fill(n)(Math.nextDown(ReproFloat.HugeThreshold) * (0.5f + r.nextFloat() / 2))),
+      ("just below the huge threshold, both signs",
+        Array.fill(n)(sign * Math.nextDown(ReproDouble.HugeThreshold)),
+        Array.fill(n)(sign.toFloat * Math.nextDown(ReproFloat.HugeThreshold))))
+  }
+
+  private def slotSum(vals: Array[Double], from: Int, len: Int, k: RsumBatchD): Double = {
+    val st = new ReproSlotsD(1, k.levels)
+    st.clear(0)
+    st.addBatch(0, vals, from, len, k)
+    st.value(0)
+  }
+
+  private def slotSumF(vals: Array[Float], from: Int, len: Int, k: RsumBatchD): Float = {
+    val st = new ReproSlotsF(1, k.levels)
+    st.clear(0)
+    st.addBatch(0, vals, from, len, k)
+    st.value(0)
+  }
+
+  for (l <- 1 to 4) {
+    test(s"L=$l: RsumBatchD.sumOf == clear, addBatch, value bitwise at lengths ${sumOfLengths.mkString("/")}, double and float") {
+      val k = new RsumBatchD(l)
+      for (n <- sumOfLengths; (name, vd, vf) <- sumOfInputs(n, 400L * l + n)) {
+        val clue = s"$name, n=$n"
+        val d = 3.0 +: vd
+        val f = 3.0f +: vf
+        assert(bits(k.sumOf(d, 1, n)) == bits(slotSum(d, 1, n, k)), s"double, $clue")
+        assert(bits(k.sumOf(f, 1, n)) == bits(slotSumF(f, 1, n, k).toDouble), s"float, $clue")
+      }
+    }
+  }
+
+  test("RsumBatchD.sumOf refuses a huge, ±Inf or NaN value and a batch of more than SpreadMax values") {
+    val k = new RsumBatchD(2)
+    for (n <- Seq(1, 4, RsumBatchD.SpreadMax); at <- Seq(0, n - 1)) {
+      for (sp <- Seq(ReproDouble.HugeThreshold, -Double.MaxValue, Double.PositiveInfinity, Double.NegativeInfinity,
+                     Double.NaN)) {
+        val d = uniformVals(n, 411); d(at) = sp
+        assert(k.sumOf(d, 0, n).isNaN, s"double $sp at $at of $n")
+      }
+      for (sp <- Seq(ReproFloat.HugeThreshold, -Float.MaxValue, Float.PositiveInfinity, Float.NegativeInfinity,
+                     Float.NaN)) {
+        val f = uniformVals(n, 412).map(_.toFloat); f(at) = sp
+        assert(k.sumOf(f, 0, n).isNaN, s"float $sp at $at of $n")
+      }
+    }
+    for (n <- Seq(RsumBatchD.SpreadMax + 1, 31, 32, 64, 1024, FpD.V * FpD.NB + 1)) {
+      val d = 3.0 +: uniformVals(n, 413)
+      assert(k.sumOf(d, 1, n).isNaN && k.sumOf(d.map(_.toFloat), 1, n).isNaN, s"$n values")
+    }
+    val d = uniformVals(RsumBatchD.SpreadMax + 1, 414)
+    assert(!k.sumOf(d, 1, RsumBatchD.SpreadMax).isNaN && !k.sumOf(d.map(_.toFloat), 0, RsumBatchD.SpreadMax).isNaN)
+  }
+}
+
+/** `FullDomain`'s values that are finite and below the huge threshold:
+  * zeros, subnormals and ordinary values of many magnitudes.
+  */
+private object FullDomainFinite {
+  def doubles(n: Int, seed: Long): Array[Double] =
+    Iterator.from(0).map(i => repro.FullDomain.doubles(4 * n, seed + i)._2)
+      .flatMap(_.filter(v => Math.abs(v) < ReproDouble.HugeThreshold)).take(n).toArray
+
+  def floats(n: Int, seed: Long): Array[Float] =
+    Iterator.from(0).map(i => repro.FullDomain.floats(4 * n, seed + i)._2)
+      .flatMap(_.filter(v => Math.abs(v) < ReproFloat.HugeThreshold)).take(n).toArray
 }
 
 /** Summation buffers must also be bit-identical to the unbuffered paths. */

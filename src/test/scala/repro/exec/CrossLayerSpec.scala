@@ -402,6 +402,36 @@ class LoudFailureSpec extends AnyFunSuite with TimeLimits {
     }
   }
 
+  test("a buffered table of more than Int.MaxValue buffered values throws IllegalArgumentException naming cap and bsz, before it allocates") {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    mx.setThreadAllocatedMemoryEnabled(true)
+    val t = Thread.currentThread.getId
+    /** `call`'s message, once it has thrown having allocated less than 1 MiB. */
+    def refused(what: String)(call: => Any): String = withClue(s"$what: ") {
+      val before = mx.getThreadAllocatedBytes(t)
+      val e = intercept[IllegalArgumentException](call)
+      val bytes = mx.getThreadAllocatedBytes(t) - before
+      assert(bytes < (1 << 20), s"$bytes B allocated")
+      e.getMessage
+    }
+    // 2^22 slots of 1024 values: 2^32, which wrapped to 0 in Int.
+    for (kind <- Seq(BufD(2, 1024), BufF(2, 1024))) {
+      val msg = refused(kind.name)(kind match {
+        case BufF(_, _) => PartitionAndAggregate.runF(Array(1, 2, 3), Array(1.0f, 2.0f, 3.0f), 1 << 21, 0, kind, 1)
+        case _          => PartitionAndAggregate.run(Array(1, 2, 3), Array(1.0, 2.0, 3.0), 1 << 21, 0, kind, 1)
+      })
+      assert(msg.contains("cap = 4194304") && msg.contains("bsz = 1024"), msg)
+    }
+    // 2^21 slots of 1536 values: negative in Int.
+    for ((what, make) <- Seq[(String, () => Any)](("BufDTable", () => new BufDTable(1 << 21, 2, 1536)),
+                                                   ("BufFTable", () => new BufFTable(1 << 21, 2, 1536)))) {
+      val msg = refused(what)(make())
+      assert(msg.contains("cap = 2097152") && msg.contains("bsz = 1536"), msg)
+    }
+    assert(refused("bsz 0")(new BufDTable(16, 2, 0)).contains("bsz"))
+  }
+
   test("keys -1, Int.MinValue and Int.MaxValue are ordinary keys in every table") {
     val keys = Array(-1, Int.MinValue, Int.MaxValue, 0, -1, Int.MaxValue, -1)
     val expected = Map(-1 -> 3.0, Int.MinValue -> 1.0, Int.MaxValue -> 2.0, 0 -> 1.0)

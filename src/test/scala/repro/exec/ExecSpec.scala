@@ -1,11 +1,16 @@
 package repro.exec
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SynthData
+import org.scalatest.time.{Seconds, Span}
+import repro.{FullDomain, SynthData}
+import repro.core.{ReproDouble, ReproFloat}
 import repro.core.ExactSum.{bits, bitsF}
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 import scala.util.Random
 
-class RadixPartitionSpec extends AnyFunSuite {
+class RadixPartitionSpec extends AnyFunSuite with TimeLimits {
 
   test("d=0 is a no-op forward") {
     val keys = SynthData.localUniformKeys(1000, 64, 1)
@@ -154,6 +159,35 @@ class RadixPartitionSpec extends AnyFunSuite {
     }
   }
 
+  test("d=2 with nGroups = distinct keys * 65536, tables far larger than their partitions: within 60 s, the key->bits of tables fitted to the most crowded partition, in one order on 1 and 4 workers") {
+    import AggKind._
+    implicit val signaler: Signaler = ThreadSignaler
+    // Emit once scanned every slot of a table of thousands of slots for each
+    // partition of a few keys: this took minutes.
+    def body(): Unit =
+      for ((name, keys) <- nibbleKeySets(2)) {
+        val vals = SynthData.localMixedValues(keys.length, 70)
+        val valsF = SynthData.toFloats(vals)
+        val distinct = keys.distinct
+        val crowded = distinct.groupBy(_ & 0xffff).values.map(_.length).max
+        def groups(perPartition: Int): Int = math.min(perPartition.toLong << 16, Int.MaxValue.toLong).toInt
+        for (kind <- Seq(PlainD, ReproD(2), BufD(2, 16), PlainF, BufF(2, 16))) {
+          def call(nGroups: Int, workers: Int): (Array[Int], Array[Double]) = kind match {
+            case PlainF | BufF(_, _) => PartitionAndAggregate.runF(keys, valsF, nGroups, 2, kind, workers)
+            case _                   => PartitionAndAggregate.run(keys, vals, nGroups, 2, kind, workers)
+          }
+          def byKey(out: (Array[Int], Array[Double])): Map[Int, Long] = out._1.zip(out._2.map(bits)).toMap
+          val clue = s"$name, ${kind.name}"
+          val fitted = byKey(call(groups(crowded), 1))
+          val (k1, v1) = call(groups(distinct.length), 1)
+          val (k4, v4) = call(groups(distinct.length), 4)
+          assert(fitted.size == distinct.length && byKey((k1, v1)) == fitted, clue)
+          assert(k4.sameElements(k1) && v4.map(bits).sameElements(v1.map(bits)), s"$clue: 4 workers")
+        }
+      }
+    failAfter(Span(60, Seconds))(Await.result(Future(body())(ExecutionContext.global), Duration.Inf))
+  }
+
   test("float variant partitions identically to the double variant") {
     val n = 5000
     val keys = SynthData.localUniformKeys(n, 3000, 7)
@@ -276,6 +310,100 @@ class HashAggSpec extends AnyFunSuite {
       val got = PartitionAndAggregate.run(new Array[Int](0), new Array[Double](0), 1, 0, kind)
       assert(got._1.isEmpty && got._2.isEmpty)
     }
+  }
+
+  // ----------------------------------- summation buffers finalized at emit
+
+  /** `out` of a table, its keys and result bits in emit order. */
+  private def emitted(t: AggTable[_]): Seq[(Int, Long)] = {
+    val (k, v) = (new Array[Int](t.size), new Array[Double](t.size))
+    assert(t.emit(k, v, 0) == t.size)
+    k.toSeq.zip(v.map(bits))
+  }
+
+  /** Rows of one table over `FullDomain`'s values, shuffled together: 24
+    * groups of about `3 * bsz` rows, more than their buffer holds, and 72 of
+    * about `bsz / 4`, fewer; special values included. The float rows have
+    * the same keys.
+    */
+  private def crowdedAndSparse(bsz: Int, seed: Long): (Array[Int], Array[Double], Array[Float]) = {
+    val (crowded, sparse) = FullDomain.keys(96).splitAt(24)
+    val (kc, vc) = FullDomain.doubles(24 * 3 * bsz, seed, crowded)
+    val (ks, vs) = FullDomain.doubles(72 * math.max(1, bsz / 4), seed + 1, sparse)
+    val (_, fc) = FullDomain.floats(kc.length, seed, crowded)
+    val (_, fs) = FullDomain.floats(ks.length, seed + 1, sparse)
+    val perm = new Random(seed).shuffle((0 until kc.length + ks.length).toVector).toArray
+    (perm.map(kc ++ ks), perm.map(vc ++ vs), perm.map(fc ++ fs))
+  }
+
+  // At bsz = 256 the sparse groups hold more values than sumOf takes at
+  // the first emit, so their slots are flushed and evaluated there.
+  for (l <- Seq(1, 2, 4); bsz <- Seq(1, 4, 16, 64, 256)) {
+    test(s"BufDTable/BufFTable L=$l, bsz=$bsz, groups above and below bsz in one table: emit, emit again, aggregate more, emit give ReproDTable/ReproFTable's keys, order and bits") {
+      val (keys, vals, valsF) = crowdedAndSparse(bsz, 600L + 10 * l + bsz)
+      val counts = keys.groupBy(identity).values.map(_.length)
+      if (bsz >= 16) assert(counts.exists(_ > bsz) && counts.exists(_ < bsz))
+      val (n, half, cap) = (keys.length, keys.length / 2, HashAgg.capacityFor(96))
+      def check[A](buf: AggTable[A], ref: AggTable[A], whole: AggTable[A], values: A, what: String): Unit = {
+        buf.aggregate(keys, values, 0, half, 0)
+        ref.aggregate(keys, values, 0, half, 0)
+        val first = emitted(buf)
+        assert(first == emitted(ref), s"$what: first emit")
+        assert(emitted(buf) == first, s"$what: second emit")
+        buf.aggregate(keys, values, half, n, 0)
+        ref.aggregate(keys, values, half, n, 0)
+        whole.aggregate(keys, values, 0, n, 0)
+        val last = emitted(buf)
+        assert(last == emitted(ref) && last == emitted(whole), s"$what: emit after more rows")
+      }
+      check(new BufDTable(cap, l, bsz), new ReproDTable(cap, l), new BufDTable(cap, l, bsz), vals, "double")
+      check(new BufFTable(cap, l, bsz), new ReproFTable(cap, l), new BufFTable(cap, l, bsz), valsF, "float")
+    }
+  }
+
+  test("an emit into too short an array throws before it marks a slot: reset, aggregate, emit then give a fresh table's output") {
+    val (keys, vals, valsF) = crowdedAndSparse(16, 700L)
+    val (n, cap) = (keys.length, HashAgg.capacityFor(96))
+    def check[A](t: AggTable[A], fresh: AggTable[A], values: A, what: String): Unit = {
+      t.aggregate(keys, values, 0, n, 0)
+      val m = t.size
+      intercept[IndexOutOfBoundsException](t.emit(new Array[Int](m - 1), new Array[Double](m), 0))
+      intercept[IndexOutOfBoundsException](t.emit(new Array[Int](m), new Array[Double](m - 1), 0))
+      intercept[IndexOutOfBoundsException](t.emit(new Array[Int](m + 1), new Array[Double](m + 1), 2))
+      intercept[IndexOutOfBoundsException](t.emit(new Array[Int](m), new Array[Double](m), -1))
+      t.reset()
+      t.aggregate(keys, values, 0, n / 3, 0)
+      fresh.aggregate(keys, values, 0, n / 3, 0)
+      assert(emitted(t) == emitted(fresh), what)
+    }
+    check(new BufDTable(cap, 2, 16), new BufDTable(cap, 2, 16), vals, "BufDTable")
+    check(new BufFTable(cap, 2, 16), new BufFTable(cap, 2, 16), valsF, "BufFTable")
+    check(new PlainDTable(cap), new PlainDTable(cap), vals, "PlainDTable")
+    val t = new BufFTable(cap, 2, 16)
+    t.aggregate(keys, valsF, 0, n, 0)
+    intercept[IndexOutOfBoundsException](t.emitFloats(new Array[Int](t.size), new Array[Float](t.size - 1), 0))
+    t.reset()
+    t.aggregate(keys, valsF, 0, 10, 0)
+    val fresh = new BufFTable(cap, 2, 16)
+    fresh.aggregate(keys, valsF, 0, 10, 0)
+    assert(emitted(t) == emitted(fresh), "BufFTable, emitFloats")
+  }
+
+  test("a buffered table's pending value that is huge, ±Inf or NaN gives the unbuffered table's bits at emit") {
+    val specialsD = Seq(ReproDouble.HugeThreshold, -Double.MaxValue, Double.PositiveInfinity, Double.NegativeInfinity,
+                        Double.NaN)
+    val specialsF = Seq(ReproFloat.HugeThreshold, -Float.MaxValue, Float.PositiveInfinity, Float.NegativeInfinity,
+                        Float.NaN)
+    // Group g holds 3 values, the special one at position g % 3.
+    val keys = Array.tabulate(15)(_ / 3)
+    val vals = Array.tabulate(15)(i => if (i % 3 == (i / 3) % 3) specialsD(i / 3) else 1.5 + i)
+    val valsF = Array.tabulate(15)(i => if (i % 3 == (i / 3) % 3) specialsF(i / 3) else 1.5f + i)
+    val (buf, ref) = (new BufDTable(16, 2, 8), new ReproDTable(16, 2))
+    buf.aggregate(keys, vals, 0, 15, 0); ref.aggregate(keys, vals, 0, 15, 0)
+    assert(emitted(buf) == emitted(ref) && emitted(buf) == emitted(ref))
+    val (bufF, refF) = (new BufFTable(16, 2, 8), new ReproFTable(16, 2))
+    bufF.aggregate(keys, valsF, 0, 15, 0); refF.aggregate(keys, valsF, 0, 15, 0)
+    assert(emitted(bufF) == emitted(refF) && emitted(bufF) == emitted(refF))
   }
 
   // ------------------------------------------------- bit-reproducibility
