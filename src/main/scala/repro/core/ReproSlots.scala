@@ -35,8 +35,12 @@ import java.nio.ByteBuffer
   *
   * `add`, `addBatch`, `merge` and `value` are bit-reproducible: a slot's
   * value depends only on the multiset of values that reached it.
+  *
+  * `A` is the value-array type, `Array[Double]` or `Array[Float]`: the
+  * operations declared here take it, so the exec tables are written once
+  * for both precisions.
   */
-sealed abstract class ReproSlots[T <: ReproSlots[T]](val n: Int, val levels: Int) extends Serializable {
+sealed abstract class ReproSlots[T <: ReproSlots[T, A], A](val n: Int, val levels: Int) extends Serializable {
   require(levels >= 1 && levels <= 16, s"levels must be in [1,16], got $levels")
 
   private val tail = n * levels
@@ -60,6 +64,27 @@ sealed abstract class ReproSlots[T <: ReproSlots[T]](val n: Int, val levels: Int
     if (huge == null) huge = make()
     huge
   }
+
+  /** Add `values(from until from+len)` to slot `i` through the batched
+    * kernel; the state is bit-identical to adding the values one by one.
+    * A batch the kernel refuses, because it holds a huge or non-finite
+    * value, is routed per value.
+    */
+  def addBatch(i: Int, values: A, from: Int, len: Int, scratch: RsumBatchD): Unit
+
+  /** The paper's `operator+=(repro<ScalarT,L>)`: merge slot `j` of `o` into
+    * slot `i`. `o` is left untouched.
+    */
+  def merge(i: Int, o: T, j: Int): Unit
+
+  /** [[RsumBatchD.sumOf]] of `values(from until from+len)` on this
+    * precision's grid: the [[result]] of an empty slot after [[addBatch]],
+    * or NaN where the kernel refuses.
+    */
+  def sumOf(values: A, from: Int, len: Int, kernel: RsumBatchD): Double
+
+  /** `value(i)`, widened to double for float. */
+  def result(i: Int): Double
 
   /** True if nothing contributing to the sum reached slot `i`. */
   def isEmpty(i: Int): Boolean =
@@ -162,7 +187,7 @@ sealed abstract class ReproSlots[T <: ReproSlots[T]](val n: Int, val levels: Int
 }
 
 /** `repro<double,L>` slots on double's grid. */
-final class ReproSlotsD(n: Int, levels: Int) extends ReproSlots[ReproSlotsD](n, levels) {
+final class ReproSlotsD(n: Int, levels: Int) extends ReproSlots[ReproSlotsD, Array[Double]](n, levels) {
   import FpD._
 
   protected def make(): ReproSlotsD = new ReproSlotsD(n, levels)
@@ -174,11 +199,6 @@ final class ReproSlotsD(n: Int, levels: Int) extends ReproSlots[ReproSlotsD](n, 
     else if (java.lang.Double.isFinite(b)) hugeSlots.add(i, b * ReproDouble.HugeScaleDown)
     else setNonFinite(i, nonFinite(i) + b)
 
-  /** Add `values(from until from+len)` to slot `i` through the batched
-    * kernel; the state is bit-identical to adding the values one by one.
-    * A batch the kernel refuses, because it holds a huge or non-finite
-    * value, is routed per value.
-    */
   def addBatch(i: Int, values: Array[Double], from: Int, len: Int, scratch: RsumBatchD): Unit = {
     require(scratch.levels == levels, "scratch lane width mismatch")
     val e = scratch.run(values, from, len, s, c, i * levels, e1(i))
@@ -189,10 +209,12 @@ final class ReproSlotsD(n: Int, levels: Int) extends ReproSlots[ReproSlotsD](n, 
     }
   }
 
-  /** The paper's `operator+=(repro<double,L>)`: merge slot `j` of `o` into
-    * slot `i`. `o` is left untouched.
-    */
   def merge(i: Int, o: ReproSlotsD, j: Int): Unit = mergeSlot(i, o, j, W, ELMIN)
+
+  def sumOf(values: Array[Double], from: Int, len: Int, kernel: RsumBatchD): Double =
+    kernel.sumOf(values, from, len)
+
+  def result(i: Int): Double = value(i)
 
   /** Finalized sum of slot `i` (a deterministic function of its canonical
     * state). Every NaN comes out as `Double.NaN`: the side sum's NaN bits
@@ -211,7 +233,7 @@ final class ReproSlotsD(n: Int, levels: Int) extends ReproSlots[ReproSlotsD](n, 
 /** `repro<float,L>` slots: float values, widened exactly, on float's grid;
   * results narrowed exactly, and `value` rounded as binary32 RSUM rounds.
   */
-final class ReproSlotsF(n: Int, levels: Int) extends ReproSlots[ReproSlotsF](n, levels) {
+final class ReproSlotsF(n: Int, levels: Int) extends ReproSlots[ReproSlotsF, Array[Float]](n, levels) {
   import FpF._
 
   protected def make(): ReproSlotsF = new ReproSlotsF(n, levels)
@@ -234,6 +256,15 @@ final class ReproSlotsF(n: Int, levels: Int) extends ReproSlots[ReproSlotsF](n, 
 
   def merge(i: Int, o: ReproSlotsF, j: Int): Unit = mergeSlot(i, o, j, W, ELMIN)
 
+  def sumOf(values: Array[Float], from: Int, len: Int, kernel: RsumBatchD): Double =
+    kernel.sumOf(values, from, len)
+
+  def result(i: Int): Double = value(i).toDouble
+
+  /** Finalized sum of slot `i`, in float arithmetic throughout: the huge
+    * sidecar's `scalb(huge, 60) + base` must overflow to ±Inf as binary32
+    * does, where a sum in double could come back finite.
+    */
   def value(i: Int): Float = {
     val nf = nonFinite(i).toFloat
     if (java.lang.Float.isNaN(nf)) return Float.NaN

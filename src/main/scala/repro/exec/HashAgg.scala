@@ -5,10 +5,12 @@ import repro.core._
 /** Hash aggregation kernels (paper's HASHAGGREGATION, §IV/§V): open
   * addressing with identity hashing — the paper's choice, realistic for
   * column stores with dense domain-encoded keys. [[AggTable]] owns the keys
-  * and the probe; one final subclass per accumulator data type owns its
-  * accumulators and its `aggregate` loop, so the cost differences between
-  * built-in, DECIMAL, `repro<T,L>` and summation-buffer aggregates are
-  * those of the accumulators, not of megamorphic dispatch.
+  * and the probe. The repro accumulators are written once for both
+  * precisions, [[ReproTable]] and, with summation buffers, [[BufTable]].
+  * Each final subclass, one per accumulator data type, keeps its own
+  * `aggregate` row loop, so the cost differences between built-in,
+  * DECIMAL, `repro<T,L>` and summation-buffer aggregates are those of the
+  * accumulators, not of megamorphic dispatch.
   *
   * Tables are allocated once and reused: [[PartitionAndAggregate]] keeps
   * each calling thread's tables of the last shape it asked for, one per
@@ -50,10 +52,11 @@ object HashAgg {
   *
   * `A` is the value-array type of `aggregate`. A subclass starts the
   * accumulator of a newly claimed slot in `init`, adds another table's slot
-  * to it in `mergeSlot` and finalizes it in `result`. The table records the
-  * order in which its slots were claimed: `reset` frees just those, `merge`
-  * reads the other table's keys in that order, and `emit` marks them in a
-  * bitmap to visit them in slot order, so none of them costs O(`cap`).
+  * to it in `mergeSlot` (after `checkMerge`) and finalizes it in `result`.
+  * The table records the order in which its slots were claimed: `reset`
+  * frees just those, `merge` reads the other table's keys in that order,
+  * and `emit` marks them in a bitmap to visit them in slot order, so none
+  * of them costs O(`cap`).
   */
 abstract class AggTable[A](val cap: Int) {
   require(cap > 0 && (cap & (cap - 1)) == 0, s"capacity must be a power of two, got $cap")
@@ -77,11 +80,19 @@ abstract class AggTable[A](val cap: Int) {
   /** Start the accumulator of slot `h`, just claimed by a new key. */
   protected def init(h: Int): Unit
 
-  /** Add slot `j` of `o`, a table of this class with no pending input, to
-    * slot `h`. The plain tables do not merge: a merge of partial sums
-    * rounds differently from one sum over both inputs.
+  /** Throws unless `o`, a table of this class, can be merged into this
+    * one; [[merge]] calls it before it claims a slot. The plain tables do
+    * not merge: a merge of partial sums rounds differently from one sum
+    * over both inputs.
     */
-  protected def mergeSlot(h: Int, o: AggTable[A], j: Int): Unit =
+  protected def checkMerge(o: AggTable[A]): Unit = refuseMerge()
+
+  /** Add slot `j` of `o`, which passed [[checkMerge]], to slot `h`, `o`'s
+    * pending input included.
+    */
+  protected def mergeSlot(h: Int, o: AggTable[A], j: Int): Unit = refuseMerge()
+
+  private def refuseMerge(): Nothing =
     throw new UnsupportedOperationException(s"${getClass.getSimpleName} does not merge")
 
   /** Finalized aggregate of slot `h`, its pending input included. It may
@@ -90,8 +101,10 @@ abstract class AggTable[A](val cap: Int) {
     */
   protected def result(h: Int): Double
 
-  /** Called by `emit` on the emitting thread before its first `result`. */
-  protected def startEmit(): Unit = ()
+  /** Called on the running thread by `emit` before its first `result` and
+    * by `merge` before its first `mergeSlot`.
+    */
+  protected def begin(): Unit = ()
 
   /** Number of keys in the table. */
   final def size: Int = count(AggTable.Used)
@@ -132,13 +145,19 @@ abstract class AggTable[A](val cap: Int) {
   private def refuse(key: Int): Nothing =
     throw new IllegalArgumentException(s"key $key would take the last free slot of a $cap-slot table")
 
-  /** Adds every group of `o`, a table of this class, with `o` left
-    * untouched: `o`'s keys in the order `o` claimed them, probed from
-    * `shift` as in `aggregate`. A key new to this table thus takes the slot
-    * it would have taken had `o`'s input come after this table's. `o` must
-    * have no pending input ([[flush]]).
+  /** Adds every group of `o`, a table of this class, its pending input
+    * included, with `o` left untouched: `o`'s keys in the order `o` claimed
+    * them, probed from `shift` as in `aggregate`. A key new to this table
+    * thus takes the slot it would have taken had `o`'s input come after
+    * this table's. Throws `IllegalArgumentException` if `o` is of another
+    * class, and `checkMerge`'s exception if it cannot merge, before it
+    * claims a slot.
     */
   final def merge(o: AggTable[A], shift: Int): Unit = {
+    if (o.getClass ne getClass)
+      throw new IllegalArgumentException(s"cannot merge a ${o.getClass.getSimpleName} into a ${getClass.getSimpleName}")
+    checkMerge(o)
+    begin()
     var i = 0
     while (i < o.size) {
       val j = o.order(i)
@@ -148,8 +167,10 @@ abstract class AggTable[A](val cap: Int) {
   }
 
   /** Adds the input a table still holds back into its accumulators, on the
-    * calling thread, as [[merge]] needs of the other table. `emit` does
-    * not need it: `result` finalizes a slot's pending input.
+    * calling thread. Neither `emit` nor [[merge]] needs it: `result` and
+    * `mergeSlot` take a slot's pending input. It moves that work to the
+    * thread that calls it, as [[PartitionAndAggregate]]'s workers do before
+    * the caller merges their tables.
     */
   def flush(): Unit = ()
 
@@ -175,7 +196,7 @@ abstract class AggTable[A](val cap: Int) {
       throw new IndexOutOfBoundsException(
         s"emit of $size groups from position $outPos into arrays of ${outKeys.length} keys and " +
           s"${if (outD != null) outD.length else outF.length} values")
-    startEmit()
+    begin()
     var i = 0
     while (i < size) { val h = order(i); marks(h >>> 6) |= 1L << h; i += 1 }
     var p = outPos
@@ -250,6 +271,7 @@ final class Dec64Table(cap: Int) extends AggTable[Array[Double]](cap) {
   private val sum = new Array[Long](cap)
 
   protected def init(h: Int): Unit = sum(h) = 0L
+  override protected def checkMerge(o: AggTable[Array[Double]]): Unit = ()
   override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
     sum(h) += o.asInstanceOf[Dec64Table].sum(j)
   protected def result(h: Int): Double = sum(h) / 10000.0
@@ -260,17 +282,28 @@ final class Dec64Table(cap: Int) extends AggTable[Array[Double]](cap) {
   }
 }
 
+/** `repro<T,L>` (§IV) for both precisions: one state slot of `states`
+  * per table slot. `A` is the value-array type and `S` the state slots of
+  * its precision. A final subclass per precision adds the row loop, where
+  * `slotOf`, `init` and the typed `add` bind statically.
+  */
+abstract class ReproTable[A, S <: ReproSlots[S, A]](cap: Int, protected val states: S) extends AggTable[A](cap) {
+  protected def init(h: Int): Unit = states.clear(h)
+  override protected def checkMerge(o: AggTable[A]): Unit = {
+    val l = o.asInstanceOf[ReproTable[A, S]].states.levels
+    if (l != states.levels)
+      throw new IllegalArgumentException(s"cannot merge a table of $l levels into one of ${states.levels}")
+  }
+  override protected def mergeSlot(h: Int, o: AggTable[A], j: Int): Unit =
+    states.merge(h, o.asInstanceOf[ReproTable[A, S]].states, j)
+  protected def result(h: Int): Double = states.result(h)
+}
+
 /** `repro<double,L>` WITHOUT summation buffers (§IV): one state slot per
   * table slot, `operator+=(double)` per row.
   */
-final class ReproDTable(cap: Int, val levels: Int) extends AggTable[Array[Double]](cap) {
-  private val states = new ReproSlotsD(cap, levels)
-
-  protected def init(h: Int): Unit = states.clear(h)
-  override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
-    states.merge(h, o.asInstanceOf[ReproDTable].states, j)
-  protected def result(h: Int): Double = states.value(h)
-
+final class ReproDTable(cap: Int, val levels: Int)
+    extends ReproTable[Array[Double], ReproSlotsD](cap, new ReproSlotsD(cap, levels)) {
   def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
     var i = from
     while (i < to) { states.add(slotOf(keys(i), shift), values(i)); i += 1 }
@@ -278,61 +311,64 @@ final class ReproDTable(cap: Int, val levels: Int) extends AggTable[Array[Double
 }
 
 /** `repro<float,L>` WITHOUT summation buffers. */
-final class ReproFTable(cap: Int, val levels: Int) extends AggTable[Array[Float]](cap) {
-  private val states = new ReproSlotsF(cap, levels)
-
-  protected def init(h: Int): Unit = states.clear(h)
-  override protected def mergeSlot(h: Int, o: AggTable[Array[Float]], j: Int): Unit =
-    states.merge(h, o.asInstanceOf[ReproFTable].states, j)
-  protected def result(h: Int): Double = states.value(h).toDouble
-
+final class ReproFTable(cap: Int, val levels: Int)
+    extends ReproTable[Array[Float], ReproSlotsF](cap, new ReproSlotsF(cap, levels)) {
   def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
     var i = from
     while (i < to) { states.add(slotOf(keys(i), shift), values(i)); i += 1 }
   }
 }
 
-/** `repro<double,L>` WITH summation buffers (§V-A, Fig. 5): each slot is
-  * the repro state + a `bsz`-value buffer + its fill offset; values are
-  * appended per row and flushed through the vectorized kernel when full,
-  * and by `flush`. `emit` flushes a slot's pending values only if its state
-  * holds something already: a slot whose buffer never filled, as at
-  * `paa-wide`'s ~4 rows per group, has an empty state, and
-  * [[RsumBatchD.sumOf]] gives its result, the bits of a flush and `value`,
-  * without writing the state, if it holds at most
-  * [[RsumBatchD.SpreadMax]] values. Its values stay pending, so a second `emit`
-  * gives the same result, and later rows join them as before. The table
-  * holds no kernel scratch: `aggregate`, `flush` and `emit` each take the
-  * running thread's kernel ([[RsumBatchD.forThread]]) once.
+/** `repro<T,L>` WITH summation buffers (§V-A, Fig. 5), for both
+  * precisions: each slot is the repro state + a `bsz`-value buffer in
+  * `buf` + its fill offset; values are appended per row and flushed
+  * through the vectorized kernel when full, and by `flush`. `emit` flushes
+  * a slot's pending values only if its state holds something already: a
+  * slot whose buffer never filled, as at `paa-wide`'s ~4 rows per group,
+  * has an empty state, and [[RsumBatchD.sumOf]] gives its result, the bits
+  * of a flush and `value`, without writing the state, if it holds at most
+  * [[RsumBatchD.SpreadMax]] values. Its values stay pending, so a second
+  * `emit` gives the same result, and later rows join them as before.
+  * `merge` adds the other table's pending values of a slot, at that
+  * table's `bsz`, to the slot's state. The table holds no kernel scratch:
+  * `aggregate`, `flush`, `merge` and `emit` each take the running thread's
+  * kernel ([[RsumBatchD.forThread]]) once.
+  *
+  * A subclass allocates `states` and `buf`, checking `cap * bsz` with
+  * [[AggTable.bufferedCap]] in the first of those arguments, which run
+  * before any constructor allocates.
   */
-final class BufDTable(cap: Int, val levels: Int, val bsz: Int)
-    extends AggTable[Array[Double]](AggTable.bufferedCap(cap, bsz)) {
-  private val states = new ReproSlotsD(cap, levels)
-  private val buf = new Array[Double](cap * bsz)
-  private val fill = new Array[Int](cap)
-  // The emitting thread's kernel, taken by `startEmit`.
+abstract class BufTable[A, S <: ReproSlots[S, A]](cap: Int, slots: S, protected val buf: A)
+    extends ReproTable[A, S](cap, slots) {
+  protected val fill = new Array[Int](cap)
+  // The running thread's kernel, taken by `begin`.
   private var kernel: RsumBatchD = _
 
-  protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
-  override protected def mergeSlot(h: Int, o: AggTable[Array[Double]], j: Int): Unit =
-    states.merge(h, o.asInstanceOf[BufDTable].states, j)
-  override protected def startEmit(): Unit = kernel = RsumBatchD.forThread(levels)
+  def bsz: Int
 
-  protected def result(h: Int): Double = {
+  override protected def init(h: Int): Unit = { super.init(h); fill(h) = 0 }
+  override protected def mergeSlot(h: Int, o: AggTable[A], j: Int): Unit = {
+    super.mergeSlot(h, o, j)
+    val b = o.asInstanceOf[BufTable[A, S]]
+    if (b.fill(j) > 0) states.addBatch(h, b.buf, j * b.bsz, b.fill(j), kernel)
+  }
+  override protected def begin(): Unit = kernel = RsumBatchD.forThread(states.levels)
+
+  override protected def result(h: Int): Double = {
     val n = fill(h)
     if (n > 0) {
       if (states.isEmpty(h)) {
-        val v = kernel.sumOf(buf, h * bsz, n)
+        val v = states.sumOf(buf, h * bsz, n, kernel)
         if (!java.lang.Double.isNaN(v)) return v
       }
       states.addBatch(h, buf, h * bsz, n, kernel)
       fill(h) = 0
     }
-    states.value(h)
+    states.result(h)
   }
 
   override def flush(): Unit = {
-    val k = RsumBatchD.forThread(levels)
+    val k = RsumBatchD.forThread(states.levels)
     var i = 0
     while (i < size) {
       val h = claimedAt(i)
@@ -341,11 +377,18 @@ final class BufDTable(cap: Int, val levels: Int, val bsz: Int)
     }
   }
 
-  def aggregate(keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit =
-    aggregate(RsumBatchD.forThread(levels), keys, values, from, to, shift)
+  final def aggregate(keys: Array[Int], values: A, from: Int, to: Int, shift: Int): Unit =
+    addRows(RsumBatchD.forThread(states.levels), keys, values, from, to, shift)
 
-  // The row loop, in a method without the kernel look-up: measured faster.
-  private def aggregate(k: RsumBatchD, keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
+  /** The row loop, apart from the kernel look-up: measured faster. */
+  protected def addRows(k: RsumBatchD, keys: Array[Int], values: A, from: Int, to: Int, shift: Int): Unit
+}
+
+/** `repro<double,L>` WITH summation buffers. */
+final class BufDTable(cap: Int, val levels: Int, val bsz: Int)
+    extends BufTable[Array[Double], ReproSlotsD](
+      cap, new ReproSlotsD(AggTable.bufferedCap(cap, bsz), levels), new Array[Double](cap * bsz)) {
+  protected def addRows(k: RsumBatchD, keys: Array[Int], values: Array[Double], from: Int, to: Int, shift: Int): Unit = {
     var i = from
     while (i < to) {
       val h = slotOf(keys(i), shift)
@@ -360,46 +403,9 @@ final class BufDTable(cap: Int, val levels: Int, val bsz: Int)
 
 /** `repro<float,L>` WITH summation buffers. */
 final class BufFTable(cap: Int, val levels: Int, val bsz: Int)
-    extends AggTable[Array[Float]](AggTable.bufferedCap(cap, bsz)) {
-  private val states = new ReproSlotsF(cap, levels)
-  private val buf = new Array[Float](cap * bsz)
-  private val fill = new Array[Int](cap)
-  // The emitting thread's kernel, taken by `startEmit`.
-  private var kernel: RsumBatchD = _
-
-  protected def init(h: Int): Unit = { states.clear(h); fill(h) = 0 }
-  override protected def mergeSlot(h: Int, o: AggTable[Array[Float]], j: Int): Unit =
-    states.merge(h, o.asInstanceOf[BufFTable].states, j)
-  override protected def startEmit(): Unit = kernel = RsumBatchD.forThread(levels)
-
-  protected def result(h: Int): Double = {
-    val n = fill(h)
-    if (n > 0) {
-      if (states.isEmpty(h)) {
-        val v = kernel.sumOf(buf, h * bsz, n)
-        if (!java.lang.Double.isNaN(v)) return v
-      }
-      states.addBatch(h, buf, h * bsz, n, kernel)
-      fill(h) = 0
-    }
-    states.value(h).toDouble
-  }
-
-  override def flush(): Unit = {
-    val k = RsumBatchD.forThread(levels)
-    var i = 0
-    while (i < size) {
-      val h = claimedAt(i)
-      if (fill(h) > 0) { states.addBatch(h, buf, h * bsz, fill(h), k); fill(h) = 0 }
-      i += 1
-    }
-  }
-
-  def aggregate(keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit =
-    aggregate(RsumBatchD.forThread(levels), keys, values, from, to, shift)
-
-  // The row loop, in a method without the kernel look-up: measured faster.
-  private def aggregate(k: RsumBatchD, keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
+    extends BufTable[Array[Float], ReproSlotsF](
+      cap, new ReproSlotsF(AggTable.bufferedCap(cap, bsz), levels), new Array[Float](cap * bsz)) {
+  protected def addRows(k: RsumBatchD, keys: Array[Int], values: Array[Float], from: Int, to: Int, shift: Int): Unit = {
     var i = from
     while (i < to) {
       val h = slotOf(keys(i), shift)
